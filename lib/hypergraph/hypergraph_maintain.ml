@@ -209,11 +209,10 @@ let component_del t ~after ~edge =
 (* ------------------------------------------------------------------ *)
 (* Subcore cascade.                                                   *)
 
-(* Epoch-stamped scratch arena (the Hypergraph_path idiom): one per
-   domain, grown monotonically, invalidated by bumping the epoch so
-   repairs never pay an O(n) clear.  Fresh growth is zero-filled and
-   the epoch starts above zero, so stale reads can never alias a live
-   stamp. *)
+(* Epoch-stamped scratch arena: one per domain, grown monotonically,
+   invalidated by bumping the epoch so repairs never pay an O(n)
+   clear.  Fresh growth is zero-filled and the epoch starts above
+   zero, so stale reads can never alias a live stamp. *)
 type scratch = {
   mutable vstamp : int array;
   mutable estamp : int array;

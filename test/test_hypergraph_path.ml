@@ -14,6 +14,57 @@ let checkb = Alcotest.(check bool)
    its own complex and vertex 5 in no complex. *)
 let chain () = H.create ~n_vertices:6 [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 4 ] ]
 
+(* The sweep oracle: fold the plain per-source [HP.bfs] over [sources]
+   into (sum of finite distances to other vertices, ordered pairs,
+   max distance), then average exactly as the sweeps do. *)
+let oracle h sources =
+  let sum, pairs, dmax =
+    Array.fold_left
+      (fun acc src ->
+        Array.fold_left
+          (fun (sum, pairs, dmax) d ->
+            if d > 0 then (sum + d, pairs + 1, max dmax d) else (sum, pairs, dmax))
+          acc (HP.bfs h src))
+      (0, 0, 0) sources
+  in
+  (dmax, if pairs = 0 then 0.0 else float_of_int sum /. float_of_int pairs)
+
+let all_sources h = Array.init (H.n_vertices h) Fun.id
+
+(* The sampled sweep's documented draw: [samples] successive
+   [Prng.int rng n] calls. *)
+let drawn_sources ~seed h ~samples =
+  let rng = U.Prng.create seed in
+  Array.init samples (fun _ -> U.Prng.int rng (H.n_vertices h))
+
+let word = Sys.int_size
+
+(* Exact and sampled sweeps at domains 1, 2 and 7 against the oracle.
+   Equality is exact: the sweeps expose the integer sum and pair
+   count only through their quotient, which matches bit for bit or
+   not at all. *)
+let sweeps_match_oracle ?(seed = 11) ?(samples = (2 * word) + 3) h =
+  let exact = oracle h (all_sources h) in
+  let sampled =
+    if H.n_vertices h = 0 then (0, 0.0) else oracle h (drawn_sources ~seed h ~samples)
+  in
+  List.for_all
+    (fun domains ->
+      HP.diameter_and_average_path ~domains h = exact
+      && HP.sampled_diameter_and_average_path ~domains (U.Prng.create seed) h ~samples
+         = sampled)
+    [ 1; 2; 7 ]
+
+(* [n] vertices: a chain over the first half (long distances), one
+   wide complex over the next quarter, a duplicate of the first chain
+   link, an empty hyperedge, and isolated vertices after that. *)
+let mixed n =
+  let half = n / 2 in
+  let chain = List.init (max 0 (half - 1)) (fun i -> [ i; i + 1 ]) in
+  let wide = List.init (n / 4) (fun i -> half + i) in
+  let dup = match chain with link :: _ -> [ link ] | [] -> [] in
+  H.create ~n_vertices:n (chain @ [ wide; [] ] @ dup)
+
 let test_bfs_chain () =
   let h = chain () in
   Alcotest.(check (array int)) "distances from 0" [| 0; 1; 2; 3; -1; -1 |] (HP.bfs h 0);
@@ -78,9 +129,9 @@ let test_sampled_domains_agree () =
 
 let test_sampled_deadline_abort () =
   let ds = Hp_data.Cellzome.generate ~seed:2004 () in
-  (* An already-blown budget (checked every source, stride 1) must
-     abort the sampled sweep instead of running it to completion —
-     this used to be impossible because the sweep hardcoded
+  (* An already-blown budget (stride 1: every check reads the clock)
+     must abort the sampled sweep instead of running it to completion
+     — this used to be impossible because the sweep hardcoded
      [Deadline.never]. *)
   let deadline = U.Deadline.after ~stride:1 1e-9 in
   Unix.sleepf 0.002;
@@ -102,6 +153,69 @@ let test_sweep_stats_counts_sources () =
   let _ = HP.sampled_diameter_and_average_path ~stats (U.Prng.create 3) h ~samples:11 in
   check "sampled sources accumulate" (H.n_vertices h + 11) (HP.sources_visited stats)
 
+let test_sweeps_match_oracle_at_word_edges () =
+  (* Pass boundaries: no pass, a partial pass, exactly one full pass,
+     one source spilling into a second pass, and 2w+1. *)
+  List.iter
+    (fun n ->
+      checkb (Printf.sprintf "%d vertices" n) true (sweeps_match_oracle (mixed n)))
+    [ 0; 1; word - 1; word; word + 1; (2 * word) + 1 ];
+  checkb "no vertices, one empty hyperedge" true
+    (sweeps_match_oracle (H.create ~n_vertices:0 [ [] ]));
+  checkb "isolated vertices only" true
+    (sweeps_match_oracle (H.create ~n_vertices:(word + 5) [ []; [] ]));
+  checkb "chain with stragglers" true (sweeps_match_oracle (chain ()))
+
+let test_repeated_sources_in_one_pass () =
+  (* Three vertices and 2w+1 samples: a full pass of w draws holds
+     some vertex many times.  Each draw is its own source, so a
+     repeated vertex must own one bit per draw (OR-ed in) —
+     overwriting would count it once. *)
+  let h = H.create ~n_vertices:3 [ [ 0; 1 ]; [ 1; 2 ] ] in
+  let samples = (2 * word) + 1 in
+  checkb "sampled sweep equals the per-draw oracle" true
+    (sweeps_match_oracle ~seed:5 ~samples h);
+  let stats = HP.sweep_stats () in
+  ignore (HP.sampled_diameter_and_average_path ~stats (U.Prng.create 5) h ~samples);
+  check "every draw counted" samples (HP.sources_visited stats)
+
+let test_cancel_aborts_single_pass () =
+  (* One pass of [word] sampled sources on a 100k-vertex chain runs for
+     tens of thousands of levels.  A cancel from another domain must
+     stop it at a level check, before the pass completes. *)
+  let n = 100_000 in
+  let h = H.create ~n_vertices:n (List.init (n - 1) (fun i -> [ i; i + 1 ])) in
+  let deadline = U.Deadline.after 3600.0 in
+  let canceller =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.002;
+        U.Deadline.cancel deadline)
+  in
+  let stats = HP.sweep_stats () in
+  let aborted =
+    match
+      HP.sampled_diameter_and_average_path ~deadline ~stats (U.Prng.create 1) h
+        ~samples:word
+    with
+    | _ -> false
+    | exception U.Deadline.Expired -> true
+  in
+  Domain.join canceller;
+  checkb "cancel aborts the pass" true aborted;
+  check "the aborted pass is not counted" 0 (HP.sources_visited stats);
+  (* The abort left this domain's arena dirty; the next pass must not
+     see it. *)
+  Alcotest.(check (pair int (float 0.0)))
+    "a pass after the abort equals the oracle"
+    (oracle h (drawn_sources ~seed:1 h ~samples:word))
+    (HP.sampled_diameter_and_average_path (U.Prng.create 1) h ~samples:word)
+
+let test_failpoint_once_per_pass () =
+  U.Fault.arm "path.bfs" (U.Fault.Sleep_ms 0);
+  Fun.protect ~finally:U.Fault.reset @@ fun () ->
+  ignore (HP.diameter_and_average_path ~domains:2 (mixed ((2 * word) + 1)));
+  check "three passes, three hits" 3 (U.Fault.hits "path.bfs")
+
 let prop_parallel_diameter_agrees =
   QCheck.Test.make ~name:"diameter: multi-domain sweep agrees with sequential"
     ~count:100 (Th.arbitrary_hypergraph ())
@@ -111,45 +225,38 @@ let prop_parallel_diameter_agrees =
 
 let prop_exact_sweep_domain_invariant =
   (* The required invariance set: 1 (sequential), 2 (even split), 7
-     (odd split exercising the remainder-first chunking).  Exact
-     equality — sum and pairs are integers, so averages either match
-     bit-for-bit or not at all. *)
+     (odd split exercising the remainder-first chunking) — each against
+     the per-source [bfs] oracle, for the exact sweep and for a sampled
+     one whose 40 draws over at most 10 vertices repeat. *)
   QCheck.Test.make ~name:"diameter: identical at domains 1, 2 and 7" ~count:100
     (Th.arbitrary_hypergraph ())
-    (fun h ->
-      let at1 = HP.diameter_and_average_path ~domains:1 h in
-      at1 = HP.diameter_and_average_path ~domains:2 h
-      && at1 = HP.diameter_and_average_path ~domains:7 h)
+    (fun h -> sweeps_match_oracle ~samples:40 h)
 
 let test_scratch_aliasing () =
-  (* Two sweeps over different graphs interleaved on the same domain
-     must not see each other through the shared scratch arena — the
-     second graph is larger (forces the arena to grow mid-stream) and
-     the first is revisited afterwards (stale stamps would surface as
-     wrong distances). *)
-  let a = chain () in
-  let b =
-    let ds = Hp_data.Cellzome.generate ~seed:2004 () in
-    ds.hypergraph
+  (* Sweeps over graphs of different sizes interleaved on one domain
+     share its word arena: the larger graph grows it mid-stream, and
+     the smaller one then runs on a stale, oversized arena whose tail
+     it never clears.  Every sweep must still equal the oracle. *)
+  let small = mixed (word + 1) in
+  let large = (Hp_data.Cellzome.generate ~seed:2004 ()).hypergraph in
+  let exact h = HP.diameter_and_average_path ~domains:1 h in
+  let sampled h =
+    HP.sampled_diameter_and_average_path ~domains:1 (U.Prng.create 9) h ~samples:70
   in
-  let da_before = HP.bfs a 0 in
-  let sweep_a = HP.diameter_and_average_path ~domains:1 a in
-  let sweep_b = HP.diameter_and_average_path ~domains:1 b in
-  (* Interleave per-source traversals across the two graphs. *)
-  let db = HP.bfs b 1 in
-  let da_mid = HP.bfs a 0 in
-  let db' = HP.bfs b 1 in
-  Alcotest.(check (array int)) "graph a stable across graph b traversals"
-    da_before da_mid;
-  Alcotest.(check (array int)) "graph b stable across graph a traversals" db db';
-  Alcotest.(check (pair int (float 1e-9)))
-    "sweep over a unchanged after sweeping b" sweep_a
-    (HP.diameter_and_average_path ~domains:1 a);
-  Alcotest.(check (pair int (float 1e-9)))
-    "sweep over b unchanged after sweeping a" sweep_b
-    (HP.diameter_and_average_path ~domains:1 b);
-  Alcotest.(check (array int)) "shrunk arena reuse is clean"
-    [| 0; 1; 2; 3; -1; -1 |] (HP.bfs a 0)
+  let expect h =
+    (oracle h (all_sources h), oracle h (drawn_sources ~seed:9 h ~samples:70))
+  in
+  let small_expected = expect small and large_expected = expect large in
+  List.iteri
+    (fun i (h, expected) ->
+      Alcotest.(check (pair (pair int (float 0.0)) (pair int (float 0.0))))
+        (Printf.sprintf "sweep %d equals the oracle" i)
+        expected
+        (exact h, sampled h))
+    [ (small, small_expected); (large, large_expected); (small, small_expected);
+      (large, large_expected); (small, small_expected) ];
+  Alcotest.(check (array int)) "bfs unaffected by the sweeps"
+    [| 0; 1; 2; 3; -1; -1 |] (HP.bfs (chain ()) 0)
 
 let test_parallel_diameter_real () =
   let ds = Hp_data.Cellzome.generate ~seed:2004 () in
@@ -239,6 +346,14 @@ let () =
           Alcotest.test_case "sampled multi-domain" `Quick test_sampled_domains_agree;
           Alcotest.test_case "sampled deadline abort" `Quick test_sampled_deadline_abort;
           Alcotest.test_case "sweep stats" `Quick test_sweep_stats_counts_sources;
+          Alcotest.test_case "sweeps match oracle at word edges" `Quick
+            test_sweeps_match_oracle_at_word_edges;
+          Alcotest.test_case "repeated sources in one pass" `Quick
+            test_repeated_sources_in_one_pass;
+          Alcotest.test_case "cancel aborts a single pass" `Quick
+            test_cancel_aborts_single_pass;
+          Alcotest.test_case "path.bfs fires once per pass" `Quick
+            test_failpoint_once_per_pass;
         ] );
       ( "properties",
         [

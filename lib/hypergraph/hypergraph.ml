@@ -231,29 +231,70 @@ let edge_of_name h name =
   | Some idx -> Hashtbl.find_opt idx name
   | None -> None
 
+(* The distinct ids of [ids] in ascending order, each checked to lie in
+   [0, n).  Marking an n-slot array instead of sorting accepts unsorted
+   and duplicate input in O(n + |ids|). *)
+let kept_ids ~what n ids =
+  let mark = Bytes.make n '\000' in
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= n then
+        invalid_arg (Printf.sprintf "Hypergraph.sub: %s id %d out of range" what i);
+      Bytes.unsafe_set mark i '\001')
+    ids;
+  let out = U.Dynarray.create ~dummy:0 () in
+  Bytes.iteri (fun i b -> if b = '\001' then U.Dynarray.push out i) mark;
+  U.Dynarray.to_array out
+
 let sub h ~vertices ~edges =
-  let vertices = U.Sorted.of_array vertices in
-  let edges = U.Sorted.of_array edges in
+  let vertices = kept_ids ~what:"vertex" h.nv vertices in
+  let edges = kept_ids ~what:"edge" (Array.length h.edges) edges in
   let nv' = Array.length vertices in
-  let vmap = Hashtbl.create (2 * nv') in
-  Array.iteri (fun i v -> Hashtbl.replace vmap v i) vertices;
+  (* Old-to-new vertex ids, -1 for dropped vertices.  The map is
+     monotone, so restricting a sorted member row keeps it sorted, and
+     appending edge ids in ascending order fills sorted [vadj] rows:
+     both incidence directions come out canonical without a sort. *)
+  let vmap = Array.make h.nv (-1) in
+  Array.iteri (fun i v -> vmap.(v) <- i) vertices;
+  let deg = Array.make nv' 0 in
   let members =
     Array.map
       (fun e ->
-        let kept =
-          Array.to_list h.edges.(e)
-          |> List.filter_map (fun v -> Hashtbl.find_opt vmap v)
-        in
-        Array.of_list kept)
+        let ms = h.edges.(e) in
+        let kept = ref 0 in
+        Array.iter (fun v -> if vmap.(v) >= 0 then incr kept) ms;
+        let row = Array.make !kept 0 and i = ref 0 in
+        Array.iter
+          (fun v ->
+            let v' = vmap.(v) in
+            if v' >= 0 then begin
+              row.(!i) <- v';
+              incr i;
+              deg.(v') <- deg.(v') + 1
+            end)
+          ms;
+        row)
       edges
   in
+  let vadj = Array.map (fun d -> Array.make d 0) deg in
+  Array.fill deg 0 nv' 0;
+  Array.iteri
+    (fun e' row ->
+      Array.iter
+        (fun v' ->
+          vadj.(v').(deg.(v')) <- e';
+          deg.(v') <- deg.(v') + 1)
+        row)
+    members;
   let vertex_names =
     Option.map (fun names -> Array.map (fun v -> names.(v)) vertices) h.vertex_names
   in
   let edge_names =
     Option.map (fun names -> Array.map (fun e -> names.(e)) edges) h.edge_names
   in
-  (of_arrays ?vertex_names ?edge_names ~n_vertices:nv' members, vertices, edges)
+  ( of_csr_exn ?vertex_names ?edge_names ~n_vertices:nv' ~edges:members ~vadj (),
+    vertices,
+    edges )
 
 let is_reduced h =
   let m = n_edges h in

@@ -128,8 +128,13 @@ val sub : t -> vertices:int array -> edges:int array -> t * int array * int arra
 (** [sub h ~vertices ~edges] keeps the given vertices and hyperedges,
     restricting each kept hyperedge to kept members (hyperedges that
     become empty are kept as empty edges only if explicitly listed).
-    Returns the subhypergraph and the new-to-old id maps for vertices
-    and edges.  Names are carried over. *)
+    The id arrays may be unsorted and may repeat ids; the kept sets are
+    their distinct ids, numbered in ascending order.  Returns the
+    subhypergraph and the new-to-old id maps for vertices and edges
+    (ascending).  Names are carried over.  O(|V| + |F| + the kept
+    hyperedges' sizes), with no sort.  Raises [Invalid_argument]
+    ["Hypergraph.sub: vertex id <i> out of range"] (or [edge id]) for
+    an id outside [0, n_vertices) (or [0, n_edges)). *)
 
 val is_reduced : t -> bool
 (** True when no hyperedge is contained in (or equal to) another. *)

@@ -1,7 +1,7 @@
 module U = Hp_util
 module H = Hypergraph
 
-type strategy = Overlap | Overlap_table | Naive
+type strategy = Overlap | Naive
 
 type stats = {
   vertices_deleted : int;
@@ -37,18 +37,10 @@ type csr = {
   twin : int array;     (* slot of the mirrored (g,f) entry *)
 }
 
-type overlap_impl =
-  | No_overlap
-  | Table of {
-      overlap : (int, int) Hashtbl.t;         (* key f*m+g (f<g) -> count *)
-      partners : (int, unit) Hashtbl.t array; (* edge -> overlapping alive edges *)
-    }
-  | Csr of csr
-
-(* Mutable peeling state over a (reduced) hypergraph.  The drivers
+(* Mutable peeling state over the input hypergraph.  The peels
    below share it: the per-k algorithm of Figure 4 seeds a worklist
-   with low-degree vertices, while the one-pass decomposition peels
-   minimum-degree vertices from a bucket queue.  They observe deletions
+   with low-degree vertices, while the one-pass decomposition drains
+   minimum-degree vertices from a heap.  They observe deletions
    through the [on_vertex_degree] / [on_edge_delete] hooks. *)
 (* Incidence is read straight off the immutable CSR arrays
    ([H.vertex_edges] / [H.edge_members]) filtered through the alive
@@ -58,14 +50,12 @@ type overlap_impl =
    flag drops before its edges are rechecked, and an edge's flag drops
    before its members' degrees fall.) *)
 type state = {
-  m : int;                                (* edge count, for pair keys *)
-  strategy : strategy;
   h : H.t;                                (* static incidence (CSR arrays) *)
   valive : bool array;
   ealive : bool array;
   vdeg : int array;
   edeg : int array;
-  impl : overlap_impl;
+  overlap : csr option;                   (* [None] for [Naive] *)
   mutable on_vertex_degree : int -> unit; (* fires after a degree drop *)
   mutable on_edge_delete : int -> unit;
   mutable vdel : int;
@@ -73,118 +63,17 @@ type state = {
   mutable checks : int;
 }
 
-let pair_key m f g = if f < g then (f * m) + g else (g * m) + f
-
-(* --- hashtable reference implementation (the retired kernel, kept as
-   the [Overlap_table] strategy for differential testing and the E22
-   bench) --- *)
-
-let build_table ~domains h m nv =
-  let overlap = Hashtbl.create (4 * (m + 1)) in
-  let partners = Array.init m (fun _ -> Hashtbl.create 8) in
-  (* Pairwise overlaps from vertex adjacency lists, the paper's
-     O(sum d(v)^2) preprocessing.  Vertices are independent, so the
-     counting fans out over domains into local tables that are merged
-     afterwards. *)
-  let local =
-    U.Parallel.fold_range ~domains ~n:nv
-      ~create:(fun () -> Hashtbl.create 256)
-      ~fold:(fun tbl v ->
-        let adj = H.vertex_edges h v in
-        let d = Array.length adj in
-        for i = 0 to d - 1 do
-          for j = i + 1 to d - 1 do
-            let key = pair_key m adj.(i) adj.(j) in
-            let c = Option.value (Hashtbl.find_opt tbl key) ~default:0 in
-            Hashtbl.replace tbl key (c + 1)
-          done
-        done;
-        tbl)
-      ~combine:(fun a b ->
-        let big, small =
-          if Hashtbl.length a >= Hashtbl.length b then (a, b) else (b, a)
-        in
-        Hashtbl.iter
-          (fun key c ->
-            let c0 = Option.value (Hashtbl.find_opt big key) ~default:0 in
-            Hashtbl.replace big key (c0 + c))
-          small;
-        big)
-  in
-  Hashtbl.iter
-    (fun key c ->
-      Hashtbl.replace overlap key c;
-      let f = key / m and g = key mod m in
-      Hashtbl.replace partners.(f) g ();
-      Hashtbl.replace partners.(g) f ())
-    local;
-  Table { overlap; partners }
-
-(* --- flat CSR construction --- *)
-
-(* Growable flat buffer of pair keys; one per domain chunk, so pushes
-   are contention-free. *)
-type keybuf = { mutable keys : int array; mutable len : int }
-
-let keybuf_push kb x =
-  if kb.len = Array.length kb.keys then begin
-    let bigger = Array.make (2 * max 1 kb.len) 0 in
-    Array.blit kb.keys 0 bigger 0 kb.len;
-    kb.keys <- bigger
-  end;
-  kb.keys.(kb.len) <- x;
-  kb.len <- kb.len + 1
-
-(* Sort-based pairwise-overlap counting: each domain chunk emits one
-   flat buffer holding a key f*m+g (f<g) per shared vertex of the
-   pair, the buffers are radix-sorted in parallel, and a k-way
-   run-length merge yields each distinct pair with its multiplicity —
-   the overlap count — in ascending key order.  No hashtables: the
-   build is bounded by the same O(sum d(v)^2) term as the paper's
-   preprocessing, plus O(P) sort passes over the P emitted keys. *)
-let build_csr ~domains h m nv =
-  let buffers =
-    U.Parallel.fold_range ~domains ~n:nv
-      ~create:(fun () -> [ { keys = Array.make 1024 0; len = 0 } ])
-      ~fold:(fun acc v ->
-        let kb = List.hd acc in
-        let adj = H.vertex_edges h v in
-        let d = Array.length adj in
-        for i = 0 to d - 1 do
-          let fi = adj.(i) * m in
-          for j = i + 1 to d - 1 do
-            keybuf_push kb (fi + adj.(j))
-          done
-        done;
-        acc)
-      ~combine:(fun a b -> a @ b)
-  in
-  let bufs = Array.of_list buffers in
-  let nb = Array.length bufs in
-  (* Parallel per-buffer radix sort (each worker reuses its own
-     domain-local Intsort scratch). *)
-  U.Parallel.fold_range ~domains ~n:nb
-    ~create:(fun () -> ())
-    ~fold:(fun () i -> U.Intsort.sort ~len:bufs.(i).len bufs.(i).keys)
-    ~combine:(fun () () -> ());
-  (* Run-length merge into flat (key, count) arrays of unique pairs,
-     ascending by key — which is exactly (f, g) lexicographic order. *)
-  let ukeys = { keys = Array.make 1024 0; len = 0 } in
-  let ucounts = { keys = Array.make 1024 0; len = 0 } in
-  U.Intsort.merge_runs
-    (Array.map (fun kb -> (kb.keys, kb.len)) bufs)
-    (fun key count ->
-      keybuf_push ukeys key;
-      keybuf_push ucounts count);
-  let np = ukeys.len in
-  (* CSR assembly: degree count, offset prefix sum, symmetric fill.
-     Processing pairs in ascending key order appends every slice in
-     ascending partner order — for edge f the pairs (p, f) with p < f
-     all sort before any (f, g) — so the slices support binary
-     search. *)
+(* CSR assembly from {!Hypergraph_reduce.overlap_pairs}: degree count,
+   offset prefix sum, symmetric fill.  Pairs arrive in ascending key
+   order, so every slice is appended in ascending partner order — for
+   edge f the pairs (p, f) with p < f all sort before any (f, g) — and
+   the slices support binary search with no per-slice sort. *)
+let build_csr ~domains h =
+  let m = H.n_edges h in
+  let p = Hypergraph_reduce.overlap_pairs ~domains h in
   let deg = Array.make (max m 1) 0 in
-  for i = 0 to np - 1 do
-    let key = ukeys.keys.(i) in
+  for i = 0 to p.len - 1 do
+    let key = p.keys.(i) in
     let f = key / m and g = key mod m in
     deg.(f) <- deg.(f) + 1;
     deg.(g) <- deg.(g) + 1
@@ -198,8 +87,8 @@ let build_csr ~domains h m nv =
   let ocount = Array.make (max total 1) 0 in
   let twin = Array.make (max total 1) 0 in
   let pos = Array.sub adj_off 0 (max m 1) in
-  for i = 0 to np - 1 do
-    let key = ukeys.keys.(i) and c = ucounts.keys.(i) in
+  for i = 0 to p.len - 1 do
+    let key = p.keys.(i) and c = p.counts.(i) in
     let f = key / m and g = key mod m in
     let sf = pos.(f) and sg = pos.(g) in
     pos.(f) <- sf + 1;
@@ -211,7 +100,7 @@ let build_csr ~domains h m nv =
     twin.(sf) <- sg;
     twin.(sg) <- sf
   done;
-  Csr { adj_off; adj; ocount; twin }
+  { adj_off; adj; ocount; twin }
 
 (* Slot of partner [g] in [f]'s slice, or -1: binary search over the
    sorted slice. *)
@@ -230,49 +119,82 @@ let csr_slot c f g =
   done;
   !res
 
-let dec_overlap st f g =
-  match st.impl with
-  | No_overlap -> ()
-  | Csr c ->
-    let s = csr_slot c f g in
-    if s >= 0 then begin
-      match c.ocount.(s) with
-      | 0 -> () (* pair already dissolved *)
-      | n ->
-        c.ocount.(s) <- n - 1;
-        c.ocount.(c.twin.(s)) <- n - 1
-    end
-  | Table t ->
-    let key = pair_key st.m f g in
-    (match Hashtbl.find_opt t.overlap key with
-    | None -> ()
-    | Some 1 ->
-      Hashtbl.remove t.overlap key;
-      Hashtbl.remove t.partners.(f) g;
-      Hashtbl.remove t.partners.(g) f
-    | Some c -> Hashtbl.replace t.overlap key (c - 1))
+let dec_overlap c f g =
+  let s = csr_slot c f g in
+  if s >= 0 then begin
+    match c.ocount.(s) with
+    | 0 -> () (* pair already dissolved *)
+    | n ->
+      c.ocount.(s) <- n - 1;
+      c.ocount.(c.twin.(s)) <- n - 1
+  end
 
 let init ~strategy ~domains h =
-  let nv = H.n_vertices h and m = H.n_edges h in
   {
-    m;
-    strategy;
     h;
-    valive = Array.make nv true;
-    ealive = Array.make m true;
+    valive = Array.make (H.n_vertices h) true;
+    ealive = Array.make (H.n_edges h) true;
     vdeg = H.vertex_degrees h;
     edeg = H.edge_sizes h;
-    impl =
+    overlap =
       (match strategy with
-      | Naive -> No_overlap
-      | Overlap -> build_csr ~domains h m nv
-      | Overlap_table -> build_table ~domains h m nv);
+      | Naive -> None
+      | Overlap -> Some (build_csr ~domains h));
     on_vertex_degree = ignore;
     on_edge_delete = ignore;
     vdel = 0;
     edel = 0;
     checks = 0;
   }
+
+(* Is the alive, non-empty hyperedge f contained in an alive partner g
+   that wins the tie-break (larger, or as large with a smaller id)?
+   Every candidate examined counts as one maximality check. *)
+let contained st f =
+  let df = st.edeg.(f) in
+  match st.overlap with
+  | Some c ->
+    (* Scan f's partner slice: a live slot ([ocount > 0]) has an alive
+       partner by the CSR invariant, and containment is count =
+       degree.  The scan stops at the first witness. *)
+    let found = ref false in
+    let s = ref c.adj_off.(f) and stop = c.adj_off.(f + 1) in
+    while (not !found) && !s < stop do
+      let cnt = Array.unsafe_get c.ocount !s in
+      if cnt > 0 then begin
+        st.checks <- st.checks + 1;
+        if cnt = df then begin
+          let g = Array.unsafe_get c.adj !s in
+          let dg = st.edeg.(g) in
+          if dg > df || (dg = df && g < f) then found := true
+        end
+      end;
+      incr s
+    done;
+    !found
+  | None ->
+    (* Candidate containers share every member, so scanning the alive
+       edges incident to one alive member of f is complete (edeg f > 0,
+       so such a member exists). *)
+    let ms = H.edge_members st.h f in
+    let anchor = ref (-1) in
+    let i = ref 0 in
+    while !anchor < 0 do
+      if st.valive.(ms.(!i)) then anchor := ms.(!i);
+      incr i
+    done;
+    let subset_of g =
+      st.checks <- st.checks + 1;
+      Array.for_all
+        (fun w -> (not st.valive.(w)) || H.mem st.h ~vertex:w ~edge:g)
+        ms
+    in
+    Array.exists
+      (fun g ->
+        g <> f && st.ealive.(g)
+        && (st.edeg.(g) > df || (st.edeg.(g) = df && g < f))
+        && subset_of g)
+      (H.vertex_edges st.h !anchor)
 
 let rec delete_edge st f =
   st.ealive.(f) <- false;
@@ -285,9 +207,9 @@ let rec delete_edge st f =
         st.on_vertex_degree w
       end)
     (H.edge_members st.h f);
-  match st.impl with
-  | No_overlap -> ()
-  | Csr c ->
+  match st.overlap with
+  | None -> ()
+  | Some c ->
     (* Dissolve every surviving pair (f, g): zero both directions so
        partner scans skip them without consulting [ealive]. *)
     for s = c.adj_off.(f) to c.adj_off.(f + 1) - 1 do
@@ -296,88 +218,27 @@ let rec delete_edge st f =
         c.ocount.(s) <- 0
       end
     done
-  | Table t ->
-    let ps = Hashtbl.fold (fun g () acc -> g :: acc) t.partners.(f) [] in
-    List.iter
-      (fun g ->
-        Hashtbl.remove t.partners.(g) f;
-        Hashtbl.remove t.overlap (pair_key st.m f g))
-      ps;
-    Hashtbl.reset t.partners.(f)
 
 and check_maximality st f =
-  if st.ealive.(f) then begin
-    if st.edeg.(f) = 0 then delete_edge st f
-    else begin
-      let contained =
-        match st.impl with
-        | Csr c ->
-          (* Scan f's partner slice: a live slot ([ocount > 0]) has an
-             alive partner by the CSR invariant, and containment is
-             count = degree.  Unlike [Hashtbl.iter], the scan stops at
-             the first witness. *)
-          let df = st.edeg.(f) in
-          let found = ref false in
-          let s = ref c.adj_off.(f) and stop = c.adj_off.(f + 1) in
-          while (not !found) && !s < stop do
-            let cnt = Array.unsafe_get c.ocount !s in
-            if cnt > 0 then begin
-              st.checks <- st.checks + 1;
-              if cnt = df then begin
-                let g = Array.unsafe_get c.adj !s in
-                let dg = st.edeg.(g) in
-                if dg > df || (dg = df && g < f) then found := true
-              end
-            end;
-            incr s
-          done;
-          !found
-        | Table t ->
-          let found = ref false in
-          Hashtbl.iter
-            (fun g () ->
-              if (not !found) && st.ealive.(g) then begin
-                st.checks <- st.checks + 1;
-                let c =
-                  Option.value
-                    (Hashtbl.find_opt t.overlap (pair_key st.m f g))
-                    ~default:0
-                in
-                if c = st.edeg.(f)
-                   && (st.edeg.(g) > st.edeg.(f)
-                      || (st.edeg.(g) = st.edeg.(f) && g < f))
-                then found := true
-              end)
-            t.partners.(f);
-          !found
-        | No_overlap ->
-          (* Candidate containers share every member, so scanning the
-             alive edges incident to one alive member of f is complete
-             (edeg f > 0 here, so such a member exists). *)
-          let ms = H.edge_members st.h f in
-          let anchor = ref (-1) in
-          let i = ref 0 in
-          while !anchor < 0 do
-            if st.valive.(ms.(!i)) then anchor := ms.(!i);
-            incr i
-          done;
-          let subset_of g =
-            st.checks <- st.checks + 1;
-            Array.for_all
-              (fun w -> (not st.valive.(w)) || H.mem st.h ~vertex:w ~edge:g)
-              ms
-          in
-          Array.exists
-            (fun g ->
-              g <> f && st.ealive.(g)
-              && (st.edeg.(g) > st.edeg.(f)
-                 || (st.edeg.(g) = st.edeg.(f) && g < f))
-              && subset_of g)
-            (H.vertex_edges st.h !anchor)
-      in
-      if contained then delete_edge st f
-    end
-  end
+  if st.ealive.(f) && (st.edeg.(f) = 0 || contained st f) then delete_edge st f
+
+(* Reduction inside the state: delete every non-maximal hyperedge of
+   the input before the peel starts, so no reduced copy is built and
+   the overlap graph is counted once.  The whole doomed set is decided
+   from the initial counts (containment is transitive, so a hyperedge
+   inside a doomed one is inside a surviving one too), then deleted.
+   Runs before any hook is installed, so it fires none; and it is
+   reduction, not peel work, so it counts no maximality checks.  Empty
+   hyperedges follow {!Hypergraph_reduce.empty_survivor}. *)
+let drop_non_maximal st =
+  let keep_empty = Hypergraph_reduce.empty_survivor st.h in
+  let checks = st.checks in
+  let doomed =
+    Array.init (Array.length st.ealive) (fun f ->
+        if st.edeg.(f) = 0 then f <> keep_empty else contained st f)
+  in
+  st.checks <- checks;
+  Array.iteri (fun f d -> if d then delete_edge st f) doomed
 
 let delete_vertex st v =
   st.valive.(v) <- false;
@@ -389,13 +250,13 @@ let delete_vertex st v =
   let affected = !affected in
   (* Overlap bookkeeping: every pair of alive edges containing v loses
      one common vertex. *)
-  (match st.impl with
-  | No_overlap -> ()
-  | Csr _ | Table _ ->
+  (match st.overlap with
+  | None -> ()
+  | Some c ->
     let rec pairs = function
       | [] -> ()
       | f :: rest ->
-        List.iter (fun g -> dec_overlap st f g) rest;
+        List.iter (fun g -> dec_overlap c f g) rest;
         pairs rest
     in
     pairs affected);
@@ -411,16 +272,15 @@ let alive_ids flags =
   Array.iteri (fun i alive -> if alive then U.Dynarray.push buf i) flags;
   U.Dynarray.to_array buf
 
-let compose map ids = Array.map (fun i -> map.(i)) ids
 
 let k_core ?(strategy = Overlap) ?(domains = 1) ?(deadline = U.Deadline.never) h k =
   if k < 0 then invalid_arg "Hypergraph_core.k_core: negative k";
-  let reduced, emap0 = Hypergraph_reduce.reduce h in
   if k = 0 then begin
+    let reduced, emap = Hypergraph_reduce.reduce h in
     {
       core = reduced;
       vertex_ids = Array.init (H.n_vertices h) Fun.id;
-      edge_ids = emap0;
+      edge_ids = emap;
       stats =
         {
           vertices_deleted = 0;
@@ -431,17 +291,17 @@ let k_core ?(strategy = Overlap) ?(domains = 1) ?(deadline = U.Deadline.never) h
     }
   end
   else begin
-    let st = init ~strategy ~domains reduced in
+    let st = init ~strategy ~domains h in
+    drop_non_maximal st;
     let queue = Queue.create () in
     st.on_vertex_degree <- (fun w -> if st.vdeg.(w) < k then Queue.add w queue);
-    (* An initially-empty hyperedge (possible only when it is the sole
-       hyperedge, otherwise reduction removed it) is deleted for any
-       k >= 1 — the paper's "special case of a hyperedge becoming
-       empty". *)
-    for e = 0 to H.n_edges reduced - 1 do
-      if st.edeg.(e) = 0 then delete_edge st e
+    (* A surviving empty hyperedge (the sole one of an all-empty
+       input) is deleted for any k >= 1 — the paper's "special case of
+       a hyperedge becoming empty". *)
+    for e = 0 to H.n_edges h - 1 do
+      if st.ealive.(e) && st.edeg.(e) = 0 then delete_edge st e
     done;
-    for v = 0 to H.n_vertices reduced - 1 do
+    for v = 0 to H.n_vertices h - 1 do
       if st.vdeg.(v) < k then Queue.add v queue
     done;
     (* Drain the worklist in FIFO batches: everything queued at the top
@@ -461,16 +321,17 @@ let k_core ?(strategy = Overlap) ?(domains = 1) ?(deadline = U.Deadline.never) h
         if st.valive.(v) then delete_vertex st v
       done
     done;
-    let vkeep = alive_ids st.valive and ekeep = alive_ids st.ealive in
-    let core, _, esub = H.sub reduced ~vertices:vkeep ~edges:ekeep in
+    let core, vertex_ids, edge_ids =
+      H.sub h ~vertices:(alive_ids st.valive) ~edges:(alive_ids st.ealive)
+    in
     {
       core;
-      vertex_ids = vkeep;
-      edge_ids = compose emap0 esub;
+      vertex_ids;
+      edge_ids;
       stats =
         {
           vertices_deleted = st.vdel;
-          edges_deleted = st.edel + (H.n_edges h - H.n_edges reduced);
+          edges_deleted = st.edel;
           maximality_checks = st.checks;
           peel_rounds = !rounds;
         };
@@ -497,8 +358,8 @@ let decompose_iterated ?(strategy = Overlap) ?(domains = 1)
     let r = k_core ~strategy ~domains ~deadline cur k in
     if H.n_vertices r.core = 0 then k - 1
     else begin
-      let vids' = compose vids r.vertex_ids in
-      let eids' = compose eids r.edge_ids in
+      let vids' = Array.map (fun i -> vids.(i)) r.vertex_ids in
+      let eids' = Array.map (fun i -> eids.(i)) r.edge_ids in
       Array.iter (fun v -> vertex_core.(v) <- k) vids';
       Array.iter (fun e -> edge_core.(e) <- k) eids';
       loop (k + 1) r.core vids' eids'
@@ -571,18 +432,20 @@ let decompose_onepass_state ~strategy ~domains ~deadline h =
   let nv = H.n_vertices h and m = H.n_edges h in
   let vertex_core = Array.make nv 0 in
   let edge_core = Array.make m (-1) in
-  let reduced, emap0 = Hypergraph_reduce.reduce h in
-  Array.iter (fun e -> edge_core.(e) <- 0) emap0;
-  let st = init ~strategy ~domains reduced in
-  (* Initially-empty hyperedges belong to the 0-core only (their
+  let st = init ~strategy ~domains h in
+  drop_non_maximal st;
+  (* Hyperedges surviving reduction are at least in the 0-core; the
+     dropped ones keep -1. *)
+  Array.iteri (fun e alive -> if alive then edge_core.(e) <- 0) st.ealive;
+  (* A surviving empty hyperedge belongs to the 0-core only (its
      pre-assigned level 0 stands: the hooks are installed later, inside
      the drain). *)
-  for e = 0 to H.n_edges reduced - 1 do
-    if st.edeg.(e) = 0 then delete_edge st e
+  for e = 0 to m - 1 do
+    if st.ealive.(e) && st.edeg.(e) = 0 then delete_edge st e
   done;
   let max_core =
     canonical_drain ~deadline st ~level0:0 ~vertex_core
-      ~record_edge:(fun f lvl -> edge_core.(emap0.(f)) <- lvl)
+      ~record_edge:(fun f lvl -> edge_core.(f) <- lvl)
   in
   ({ vertex_core; edge_core; max_core }, st)
 
@@ -721,11 +584,11 @@ type round_stats = {
 let peel_rounds ?(strategy = Overlap) ?(domains = 1)
     ?(deadline = U.Deadline.never) h k =
   if k < 0 then invalid_arg "Hypergraph_core.peel_rounds: negative k";
-  let reduced, _ = Hypergraph_reduce.reduce h in
-  let nv = H.n_vertices reduced in
-  let st = init ~strategy ~domains reduced in
-  for e = 0 to H.n_edges reduced - 1 do
-    if st.edeg.(e) = 0 then delete_edge st e
+  let nv = H.n_vertices h in
+  let st = init ~strategy ~domains h in
+  drop_non_maximal st;
+  for e = 0 to H.n_edges h - 1 do
+    if st.ealive.(e) && st.edeg.(e) = 0 then delete_edge st e
   done;
   let batches = U.Dynarray.create ~dummy:0 () in
   let continue = ref (k > 0) in

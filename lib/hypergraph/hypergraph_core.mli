@@ -14,12 +14,18 @@
     degree equals its current overlap with g (the paper's key
     observation).  The default strategy stores the overlaps as a flat
     CSR overlap graph — per-edge partner slices with parallel count
-    and twin-slot arrays, built once by parallel sort-based counting
-    (DESIGN.md section 10) — so the per-deletion bookkeeping is array
-    scans and a binary search instead of hash probes.  The retired
-    hashtable implementation survives as [Overlap_table], and a naive
-    strategy that re-scans member lists as [Naive]; both serve
-    differential testing and the E11/E22 ablation benches.
+    and twin-slot arrays, built once per peel by parallel sort-based
+    counting ({!Hypergraph_reduce.overlap_pairs}, DESIGN.md section
+    10) — so the per-deletion bookkeeping is array scans and a binary
+    search.  The [Naive] strategy re-scans member lists instead; it is
+    the oracle for differential testing and the E11/E22 benches.
+
+    Every peel reduces the input inside its peeling state: before
+    the peel starts, the non-maximal hyperedges are deleted from the
+    state (alive flag down, member degrees lowered), with no reduced
+    copy.  [Overlap] reads containment off the overlap graph it has
+    just built, [Naive] off the same anchored subset test it peels
+    with.  Ids in every result refer to the input hypergraph.
 
     Uniqueness caveat: the k-core is unique as a SET SYSTEM, but when
     two hyperedges shrink to the same restriction during peeling,
@@ -41,10 +47,6 @@ type strategy =
   | Overlap
       (** overlap-count maximality (the paper's algorithm) over the
           flat CSR overlap graph — the fast default *)
-  | Overlap_table
-      (** overlap-count maximality over per-pair hashtables — the
-          retired reference kernel, kept for differential testing and
-          the E22 bench *)
   | Naive    (** subset re-scan maximality (oracle / ablation) *)
 
 type stats = {
@@ -112,10 +114,12 @@ val decompose_onepass :
   ?deadline:Hp_util.Deadline.t ->
   Hypergraph.t ->
   decomposition
-(** Single minimum-degree peel over a bucket queue (the hypergraph
-    analogue of the Batagelj-Zaversnik sweep): the level only rises,
-    every vertex is deleted once, and the core numbers fall out of the
-    deletion levels.  Agrees with [decompose_iterated] (property-tested)
+(** Single minimum-degree peel (the hypergraph analogue of the
+    Batagelj-Zaversnik sweep): an {!Hp_util.Int_heap} drains vertices
+    in (key, id)-lexicographic order, where key is the degree clamped
+    below by the current level; the level only rises, every vertex is
+    deleted once, and the core numbers fall out of the deletion
+    levels.  Agrees with [decompose_iterated] (property-tested)
     at a fraction of the cost for deep cores. *)
 
 val resume_peel :

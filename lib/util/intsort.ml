@@ -1,9 +1,15 @@
-(* LSD radix sort over 16-bit digits with domain-local scratch, plus a
-   k-way run-length merge of sorted buffers.  See intsort.mli. *)
+(* LSD radix sort over digits of at most 16 bits with domain-local
+   scratch, plus a k-way run-length merge of sorted buffers.  See
+   intsort.mli. *)
 
-let digit_bits = 16
-let radix = 1 lsl digit_bits
-let digit_mask = radix - 1
+let max_digit_bits = 16
+
+let bits_of x =
+  let b = ref 0 in
+  while x lsr !b > 0 do
+    incr b
+  done;
+  !b
 
 (* Per-domain scratch: the ping-pong buffer grows to the largest sort
    seen on this domain; the digit counters are allocated once. *)
@@ -24,9 +30,19 @@ let sort ?len a =
     done;
     let s = Domain.DLS.get scratch_key in
     if Array.length s.aux < n then s.aux <- Array.make n 0;
-    if Array.length s.counts = 0 then s.counts <- Array.make radix 0;
+    if Array.length s.counts = 0 then
+      s.counts <- Array.make (1 lsl max_digit_bits) 0;
     let counts = s.counts in
     let src = ref a and dst = ref s.aux in
+    (* A pass costs O(n + 2^digit): cap the digit near log2 n so the
+       counters never dominate a small sort, then spread the key bits
+       evenly over the passes that cap implies. *)
+    let key_bits = bits_of !hi in
+    let cap = min max_digit_bits (max 8 (bits_of n)) in
+    let passes = max 1 ((key_bits + cap - 1) / cap) in
+    let digit_bits = (key_bits + passes - 1) / passes in
+    let radix = 1 lsl digit_bits in
+    let digit_mask = radix - 1 in
     let shift = ref 0 in
     while !hi lsr !shift > 0 do
       Array.fill counts 0 radix 0;

@@ -14,9 +14,11 @@
 
 val sort : ?len:int -> int array -> unit
 (** [sort a] sorts [a.(0 .. len-1)] ascending in place ([len] defaults
-    to the whole array).  LSD radix sort over 16-bit digits: linear in
-    [len] with one pass per 16 significant bits of the maximum key, so
-    pair keys bounded by m^2 take at most four passes.  The auxiliary
+    to the whole array).  LSD radix sort: a pass over a d-bit digit
+    costs O(len + 2^d), so d is capped at min(16, max(8, log2 len)) —
+    the counters never dominate a short sort — and the maximum key's
+    significant bits are spread evenly over the fewest passes that cap
+    allows (pair keys bounded by m^2 take at most four).  The auxiliary
     array and digit counters come from [Domain.DLS] scratch and are
     reused across calls on the same domain.  Raises [Invalid_argument]
     on a negative key or [len] out of bounds. *)

@@ -89,6 +89,90 @@ let test_sub () =
   let sub2, _, _ = H.sub h ~vertices:[| 0 |] ~edges:[| 0 |] in
   Alcotest.(check (array int)) "heavy restriction" [| 0 |] (H.edge_members sub2 0)
 
+let test_sub_bad_ids () =
+  let h = H.create ~n_vertices:4 [ [ 0; 1; 2 ]; [ 2; 3 ] ] in
+  Alcotest.check_raises "vertex id past the end"
+    (Invalid_argument "Hypergraph.sub: vertex id 999 out of range") (fun () ->
+      ignore (H.sub h ~vertices:[| 0; 999; -5 |] ~edges:[| 0 |]));
+  Alcotest.check_raises "negative vertex id"
+    (Invalid_argument "Hypergraph.sub: vertex id -5 out of range") (fun () ->
+      ignore (H.sub h ~vertices:[| -5; 0 |] ~edges:[||]));
+  Alcotest.check_raises "edge id past the end"
+    (Invalid_argument "Hypergraph.sub: edge id 2 out of range") (fun () ->
+      ignore (H.sub h ~vertices:[| 0 |] ~edges:[| 1; 2 |]));
+  Alcotest.check_raises "negative edge id"
+    (Invalid_argument "Hypergraph.sub: edge id -1 out of range") (fun () ->
+      ignore (H.sub h ~vertices:[||] ~edges:[| -1 |]))
+
+let test_sub_unsorted_duplicates () =
+  (* Unsorted and repeated ids mean the same kept sets as their
+     sorted, distinct form; both incidence directions stay sorted. *)
+  let h = sample () in
+  let a, va, ea = H.sub h ~vertices:[| 4; 2; 3; 2; 4 |] ~edges:[| 3; 1; 2; 1 |] in
+  let b, vb, eb = H.sub h ~vertices:[| 2; 3; 4 |] ~edges:[| 1; 2; 3 |] in
+  checkb "same structure" true (H.equal_structure a b);
+  Alcotest.(check (array int)) "vid map" [| 2; 3; 4 |] va;
+  Alcotest.(check (array int)) "eid map" [| 1; 2; 3 |] ea;
+  Alcotest.(check (array int)) "same vid map" vb va;
+  Alcotest.(check (array int)) "same eid map" eb ea;
+  (* e3 = {0,1,2} keeps only vertex 2 (new id 0). *)
+  Alcotest.(check (array int)) "restricted duplicate" [| 0 |] (H.edge_members a 2);
+  Alcotest.(check (array int)) "vertex 2's edges" [| 0; 2 |] (H.vertex_edges a 0);
+  Alcotest.(check (array int)) "vertex 3's edges" [| 0; 1 |] (H.vertex_edges a 1);
+  let empty, _, _ = H.sub h ~vertices:[||] ~edges:[| 0 |] in
+  check "no vertices" 0 (H.n_vertices empty);
+  Alcotest.(check (array int)) "listed edge kept empty" [||] (H.edge_members empty 0)
+
+let test_sub_names () =
+  let h =
+    H.create
+      ~vertex_names:[| "A"; "B"; "C"; "D" |]
+      ~edge_names:[| "X"; "Y"; "Z" |]
+      ~n_vertices:4
+      [ [ 0; 1 ]; [ 1; 2; 3 ]; [ 3 ] ]
+  in
+  let s, _, _ = H.sub h ~vertices:[| 3; 1 |] ~edges:[| 2; 1 |] in
+  Alcotest.(check string) "vertex 0" "B" (H.vertex_name s 0);
+  Alcotest.(check string) "vertex 1" "D" (H.vertex_name s 1);
+  Alcotest.(check string) "edge 0" "Y" (H.edge_name s 0);
+  Alcotest.(check string) "edge 1" "Z" (H.edge_name s 1);
+  Alcotest.(check (option int)) "vertex lookup" (Some 1) (H.vertex_of_name s "D");
+  Alcotest.(check (option int)) "dropped vertex" None (H.vertex_of_name s "A");
+  Alcotest.(check (option int)) "edge lookup" (Some 0) (H.edge_of_name s "Y");
+  Alcotest.(check (array int)) "Y restricted to B, D" [| 0; 1 |] (H.edge_members s 0)
+
+let prop_sub_matches_restriction =
+  (* The restriction rebuilt through [of_arrays] from renumbered member
+     lists, for arbitrary (unsorted, repeated) id selections. *)
+  QCheck.Test.make ~name:"sub: equals the renumbered restriction" ~count:200
+    QCheck.(
+      triple (Th.arbitrary_hypergraph ()) (small_list small_nat) (small_list small_nat))
+    (fun (h, vs, es) ->
+      let nv = H.n_vertices h and ne = H.n_edges h in
+      let vs = Array.of_list (List.map (fun v -> v mod nv) vs) in
+      let es = if ne = 0 then [||] else Array.of_list (List.map (fun e -> e mod ne) es) in
+      let s, vmap, emap = H.sub h ~vertices:vs ~edges:es in
+      let kept_v = U.Sorted.of_array vs and kept_e = U.Sorted.of_array es in
+      let renumber v =
+        let rec find i = if kept_v.(i) = v then i else find (i + 1) in
+        find 0
+      in
+      let reference =
+        H.of_arrays ~n_vertices:(Array.length kept_v)
+          (Array.map
+             (fun e ->
+               H.edge_members h e
+               |> Array.to_list
+               |> List.filter (fun v -> Array.mem v kept_v)
+               |> List.map renumber |> Array.of_list)
+             kept_e)
+      in
+      vmap = kept_v && emap = kept_e
+      && H.equal_structure s reference
+      && Array.for_all
+           (fun v -> H.vertex_edges s v = H.vertex_edges reference v)
+           (Array.init (H.n_vertices s) Fun.id))
+
 let test_is_reduced () =
   checkb "duplicate edges not reduced" false (H.is_reduced (sample ()));
   let r = H.create ~n_vertices:4 [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ] in
@@ -338,6 +422,11 @@ let () =
       ( "derived",
         [
           Alcotest.test_case "sub" `Quick test_sub;
+          Alcotest.test_case "sub rejects bad ids" `Quick test_sub_bad_ids;
+          Alcotest.test_case "sub unsorted and duplicate ids" `Quick
+            test_sub_unsorted_duplicates;
+          Alcotest.test_case "sub carries names" `Quick test_sub_names;
+          Th.prop prop_sub_matches_restriction;
           Alcotest.test_case "is_reduced" `Quick test_is_reduced;
           Alcotest.test_case "equal_structure" `Quick test_equal_structure;
           Alcotest.test_case "pp" `Quick test_pp;

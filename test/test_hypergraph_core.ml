@@ -61,6 +61,60 @@ let prop_overlaps_match_intersections =
           c = Hp_util.Sorted.inter_count (H.edge_members h f) (H.edge_members h g))
         (R.overlaps h))
 
+(* Hypergraphs rich in containment: each hyperedge is a fresh random
+   set, a copy of an earlier one, a random subset of an earlier one,
+   or empty — the cases reduction has to get right. *)
+let containment_gen st =
+  let nv = 1 + Random.State.int st 8 and ne = Random.State.int st 11 in
+  let rows = Array.make ne [] in
+  for e = 0 to ne - 1 do
+    rows.(e) <-
+      (match Random.State.int st 4 with
+      | 0 when e > 0 -> rows.(Random.State.int st e)
+      | 1 when e > 0 ->
+        List.filter (fun _ -> Random.State.bool st) rows.(Random.State.int st e)
+      | 2 -> []
+      | _ -> List.filter (fun _ -> Random.State.int st 3 = 0) (List.init nv Fun.id))
+  done;
+  H.create ~n_vertices:nv (Array.to_list rows)
+
+let arbitrary_containment =
+  QCheck.make ~print:Th.hypergraph_print containment_gen
+
+(* Both generators: the coin-flip one (with shrinking) and the
+   containment-biased one. *)
+let arbitrary_mixed =
+  QCheck.make ~print:Th.hypergraph_print
+    (QCheck.Gen.oneof [ Th.hypergraph_gen (); containment_gen ])
+
+(* O(m^2) oracle: f is non-maximal when some other hyperedge contains
+   it and is larger, or is as large (so equal) with a smaller id. *)
+let brute_non_maximal h =
+  let m = H.n_edges h in
+  let size = H.edge_size h in
+  List.init m Fun.id
+  |> List.filter (fun f ->
+         List.exists
+           (fun g ->
+             g <> f
+             && Hp_util.Sorted.subset (H.edge_members h f) (H.edge_members h g)
+             && (size g > size f || g < f))
+           (List.init m Fun.id))
+  |> Array.of_list
+
+let test_non_maximal_all_empty () =
+  let h = H.create ~n_vertices:2 [ []; []; [] ] in
+  Alcotest.(check (array int)) "all but hyperedge 0" [| 1; 2 |] (R.non_maximal_edges h);
+  Alcotest.(check (array int)) "oracle agrees" (brute_non_maximal h) (R.non_maximal_edges h);
+  check "survivor" 0 (R.empty_survivor h);
+  check "no survivor with a non-empty edge" (-1)
+    (R.empty_survivor (H.create ~n_vertices:2 [ []; [ 1 ] ]))
+
+let prop_non_maximal_matches_oracle =
+  QCheck.Test.make ~name:"non_maximal_edges matches the subset oracle" ~count:500
+    arbitrary_containment
+    (fun h -> R.non_maximal_edges h = brute_non_maximal h)
+
 (* k-core: known cases *)
 
 (* The planted example: three mutually overlapping 4-member complexes
@@ -164,28 +218,23 @@ let prop_kcore_invariants =
            (Array.init (H.n_edges r.core) Fun.id))
 
 let prop_strategies_agree =
-  QCheck.Test.make ~name:"k-core: CSR, hashtable and naive strategies agree"
+  QCheck.Test.make ~name:"k-core: CSR and naive strategies agree"
     ~count:300
     QCheck.(pair (Th.arbitrary_hypergraph ()) (int_range 1 4))
     (fun (h, k) ->
       let a = C.k_core ~strategy:C.Overlap h k in
       let b = C.k_core ~strategy:C.Naive h k in
-      let c = C.k_core ~strategy:C.Overlap_table h k in
       H.equal_structure a.core b.core
       && a.vertex_ids = b.vertex_ids
-      && a.edge_ids = b.edge_ids
-      && H.equal_structure a.core c.core
-      && a.vertex_ids = c.vertex_ids
-      && a.edge_ids = c.edge_ids)
+      && a.edge_ids = b.edge_ids)
 
 let prop_decompose_strategies_domain_matrix =
-  (* The tentpole guarantee: the CSR overlap kernel, the retired
-     hashtable kernel and the naive oracle produce identical
-     decompositions — exact arrays, not just multisets, since all
-     three drive the same deletion order — at fan-outs covering the
+  (* The CSR overlap kernel and the naive oracle produce identical
+     decompositions — exact arrays, not just multisets, since both
+     drive the same deletion order — at fan-outs covering the
      sequential path (1), an even split (2) and an odd split (7). *)
   QCheck.Test.make
-    ~name:"decompose: Naive/Overlap_table/Overlap identical at domains 1, 2, 7"
+    ~name:"decompose: Naive/Overlap identical at domains 1, 2, 7"
     ~count:60 (Th.arbitrary_hypergraph ())
     (fun h ->
       let reference = C.decompose ~strategy:C.Naive ~domains:1 h in
@@ -198,7 +247,54 @@ let prop_decompose_strategies_domain_matrix =
               && d.C.edge_core = reference.C.edge_core
               && d.C.max_core = reference.C.max_core)
             [ 1; 2; 7 ])
-        [ C.Naive; C.Overlap_table; C.Overlap ])
+        [ C.Naive; C.Overlap ])
+
+(* The two-step pipeline that reduction inside the peel state
+   replaced, assembled from the public API: reduce to a copy, peel the
+   copy, map hyperedge ids back through the reduction's id map. *)
+let two_step_decompose ~strategy ~domains h =
+  let reduced, emap = R.reduce h in
+  let d = C.decompose ~strategy ~domains reduced in
+  let edge_core = Array.make (H.n_edges h) (-1) in
+  Array.iteri (fun i e -> edge_core.(e) <- d.C.edge_core.(i)) emap;
+  { d with C.edge_core }
+
+let two_step_k_core ~strategy ~domains h k =
+  let reduced, emap = R.reduce h in
+  let r = C.k_core ~strategy ~domains reduced k in
+  let dropped = H.n_edges h - H.n_edges reduced in
+  ( r.vertex_ids,
+    Array.map (fun i -> emap.(i)) r.edge_ids,
+    { r.stats with edges_deleted = r.stats.edges_deleted + dropped } )
+
+let prop_decompose_matches_two_step =
+  QCheck.Test.make
+    ~name:"decompose: equals reduce-then-decompose at domains 1, 2, 7" ~count:150
+    arbitrary_mixed
+    (fun h ->
+      List.for_all
+        (fun strategy ->
+          List.for_all
+            (fun domains ->
+              C.decompose ~strategy ~domains h = two_step_decompose ~strategy ~domains h)
+            [ 1; 2; 7 ])
+        [ C.Overlap; C.Naive ])
+
+let prop_k_core_matches_two_step =
+  QCheck.Test.make ~name:"k-core: equals reduce-then-peel, ids and stats"
+    ~count:150
+    QCheck.(pair arbitrary_mixed (int_range 0 4))
+    (fun (h, k) ->
+      let k = max 0 k in
+      List.for_all
+        (fun strategy ->
+          List.for_all
+            (fun domains ->
+              let r = C.k_core ~strategy ~domains h k in
+              (r.vertex_ids, r.edge_ids, r.stats)
+              = two_step_k_core ~strategy ~domains h k)
+            [ 1; 2; 7 ])
+        [ C.Overlap; C.Naive ])
 
 let prop_onepass_matches_iterated =
   (* Edge identity is order-dependent when two hyperedges shrink to
@@ -407,7 +503,7 @@ let test_max_core_canonical_edges () =
   (* Regression for order-dependent edge identity: e0 and e1 both
      shrink to {a, b} when their pendant vertex is peeled, and
      whichever is popped first is deleted as newly non-maximal — so
-     the RAW peel's surviving id depends on bucket-queue order.  The
+     the RAW peel's surviving id depends on the drain order.  The
      canonicalized [max_core] must name the smallest original id whose
      restriction to the core equals the surviving member set, in both
      pendant orientations. *)
@@ -478,6 +574,8 @@ let () =
           Alcotest.test_case "duplicate empty edges" `Quick test_reduce_duplicate_empties;
           Th.prop prop_reduce_is_reduced;
           Th.prop prop_overlaps_match_intersections;
+          Alcotest.test_case "all-empty hypergraph" `Quick test_non_maximal_all_empty;
+          Th.prop prop_non_maximal_matches_oracle;
         ] );
       ( "k-core known cases",
         [
@@ -497,6 +595,8 @@ let () =
           Th.prop prop_kcore_invariants;
           Th.prop prop_strategies_agree;
           Th.prop prop_decompose_strategies_domain_matrix;
+          Th.prop prop_decompose_matches_two_step;
+          Th.prop prop_k_core_matches_two_step;
           Th.prop prop_onepass_matches_iterated;
           Th.prop prop_cores_nested;
           Th.prop prop_idempotent;

@@ -600,6 +600,21 @@ let prop_intsort_matches_stdlib =
       Array.sort compare b;
       a = b)
 
+let test_intsort_digit_widths () =
+  (* Lengths and key widths that select different digit widths and
+     pass counts, odd counts included (the result then lives in the
+     scratch buffer and is copied back). *)
+  let rng = Random.State.make [| 11 |] in
+  List.iter
+    (fun (n, bound) ->
+      let a = Array.init n (fun _ -> Random.State.int rng bound) in
+      let b = Array.copy a in
+      U.Intsort.sort a;
+      Array.sort compare b;
+      Alcotest.(check bool) (Printf.sprintf "n=%d keys<%d" n bound) true (a = b))
+    [ (2, 1); (300, 1 lsl 20); (5_000, 17_000); (5_000, 1 lsl 29);
+      (70_000, 160_000); (70_000, 1 lsl 30 - 1) ]
+
 let prop_merge_runs_counts =
   (* Splitting a multiset across buffers and merging must reproduce
      the run-length encoding of the sorted whole. *)
@@ -767,6 +782,7 @@ let () =
       ( "intsort",
         [
           Alcotest.test_case "known" `Quick test_intsort_known;
+          Alcotest.test_case "digit widths" `Quick test_intsort_digit_widths;
           Alcotest.test_case "len prefix" `Quick test_intsort_len_prefix;
           Alcotest.test_case "negative rejected" `Quick test_intsort_negative;
           Th.prop prop_intsort_matches_stdlib;

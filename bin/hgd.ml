@@ -17,7 +17,7 @@ let parse_bind what spec =
 
 let serve socket workers cache timeout domains preload queue_limit
     shed_watermark max_file_bytes failpoints stats_samples cache_file
-    wal_sync wal_checkpoint_every kcore_budget tcp http log_level quiet =
+    wal_sync wal_checkpoint_every tcp http log_level quiet =
   (match Hp_util.Log.level_of_string log_level with
   | Ok l -> Hp_util.Log.set_level l
   | Error msg -> Printf.eprintf "hgd: %s, keeping info\n%!" msg);
@@ -46,7 +46,6 @@ let serve socket workers cache timeout domains preload queue_limit
       cache_file = (if cache_file = "" then None else Some cache_file);
       wal_sync;
       wal_checkpoint_every;
-      kcore_budget;
       tcp;
       http;
     }
@@ -151,13 +150,6 @@ let wal_checkpoint_arg =
                snapshot after every N mutations (0 = only on an explicit \
                CHECKPOINT request).")
 
-let kcore_budget_arg =
-  Arg.(value & opt int 4096 & info [ "kcore-budget" ] ~docv:"N"
-         ~doc:"Visit budget for an incremental k-core repair: a mutation \
-               whose affected subcore would exceed N vertices + hyperedges \
-               falls back to a full re-peel instead (reported by INFO as \
-               $(i,kcore_budget_fallbacks)).  Default 4096; must be >= 1.")
-
 let tcp_arg =
   Arg.(value & opt string "" & info [ "tcp" ] ~docv:"HOST:PORT"
          ~doc:"Also serve the protocol over TCP via the nonblocking event \
@@ -187,7 +179,6 @@ let () =
             $ domains_arg $ preload_arg $ queue_limit_arg $ shed_watermark_arg
             $ max_file_bytes_arg $ failpoints_arg $ stats_samples_arg
             $ cache_file_arg $ wal_sync_arg $ wal_checkpoint_arg
-            $ kcore_budget_arg $ tcp_arg $ http_arg $ log_level_arg
-            $ quiet_arg)
+            $ tcp_arg $ http_arg $ log_level_arg $ quiet_arg)
   in
   exit (Cmd.eval' cmd)

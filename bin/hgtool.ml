@@ -554,7 +554,7 @@ let socket_arg =
 let serve_cmd =
   let run socket workers cache timeout domains preload queue_limit
       shed_watermark max_file_bytes failpoints stats_samples cache_file
-      wal_sync wal_checkpoint_every kcore_budget tcp http log_level =
+      wal_sync wal_checkpoint_every tcp http log_level =
     (match Hp_util.Log.level_of_string log_level with
     | Ok l -> Hp_util.Log.set_level l
     | Error msg -> Printf.eprintf "hgtool: serve: %s, keeping info\n%!" msg);
@@ -585,7 +585,6 @@ let serve_cmd =
         cache_file = (if cache_file = "" then None else Some cache_file);
         wal_sync;
         wal_checkpoint_every;
-        kcore_budget;
         tcp;
         http;
       }
@@ -673,11 +672,6 @@ let serve_cmd =
            ~doc:"Compact a dataset's WAL into a fresh sibling snapshot \
                  after every N mutations (0 = manual CHECKPOINT only).")
   in
-  let kcore_budget =
-    Arg.(value & opt int 4096 & info [ "kcore-budget" ] ~docv:"N"
-           ~doc:"Visit budget for an incremental k-core repair before it \
-                 falls back to a full re-peel (default 4096, >= 1).")
-  in
   let tcp =
     Arg.(value & opt string "" & info [ "tcp" ] ~docv:"HOST:PORT"
            ~doc:"Also serve the protocol over TCP via the nonblocking event \
@@ -699,7 +693,7 @@ let serve_cmd =
     Term.(const run $ socket_arg $ workers $ cache $ timeout $ domains $ preload
           $ queue_limit $ shed_watermark $ max_file_bytes $ failpoints
           $ stats_samples $ cache_file $ wal_sync $ wal_checkpoint_every
-          $ kcore_budget $ tcp $ http $ log_level)
+          $ tcp $ http $ log_level)
 
 (* The one-shot commands and `query` target the Unix socket by
    default; --tcp HOST:PORT aims them at a TCP server instead — same

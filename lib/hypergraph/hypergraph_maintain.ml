@@ -1,64 +1,47 @@
 (* Incremental maintenance of the k-core decomposition across the
    mutation stream (DESIGN.md sections 13 and 15).
 
-   Two repair strategies share the maintainer:
+   Every mutation, and every burst of them, takes one two-rung repair
+   ladder: the subcore cascade, else one full re-peel.
 
-   - [Subcore] (the default): bound the band of core levels a mutation
-     can disturb by core-number theory, reconstruct the peel boundary
-     at the band floor B (vertices with core >= B, hyperedges with
-     core >= B restricted to those vertices), collect the overlap
-     component(s) of the mutation inside that boundary, and resume the
-     canonical sweep ({!Hypergraph_core.resume_peel}) from level B on
-     just that region.  Levels below B never change, so the repair
-     cost is O(affected subcore), not O(component).
+   The cascade bounds the band of core levels the burst can disturb by
+   core-number theory, reconstructs the peel boundary at the band
+   floor B (vertices with core >= B, hyperedges with core >= B
+   restricted to those vertices), collects the overlap component(s) of
+   the burst inside that boundary, and resumes the canonical sweep
+   ({!Hypergraph_core.resume_peel}) from level B on just that region.
+   Levels below B never change, so the repair cost is O(affected
+   subcore), not O(component).
 
-   - [Component]: PR 8's repair — re-peel the whole overlap component
-     touched by the mutation — kept as the differential oracle and as
-     the middle rung of the single-mutation repair ladder
-     (cascade, then component re-peel, then full re-peel).
-
-   The band floor is sound only when the mutation cannot change what
-   the initial reduction does (a new hyperedge swallowed by or
-   swallowing an existing one, a deletion resurfacing a previously
-   non-maximal hyperedge): those cases bail out of the cascade to the
-   component path.  The floor itself caps at every level where the
-   mutated hyperedge could act as a containment witness mid-peel
-   (DESIGN.md section 15 gives the argument).  Bit-identity with the
-   full one-pass sweep remains the invariant, asserted after every
-   mutation by the differential suite (test_kcore_inc.ml).
-
-   [apply_batch] runs the same analysis once for a whole burst of
-   mutations — one band, one region, one resumed sweep — so WAL-replay
-   recovery and ensemble rewiring amortize the repair cost.  The one
-   global rule is unchanged from PR 8: an empty hyperedge's survival
-   is a whole-hypergraph property in [Hypergraph_reduce], so any empty
-   hyperedge anywhere forces the full re-peel path. *)
+   The band floor is sound only when the burst cannot change what the
+   initial reduction does (a new hyperedge containing a live one, a
+   deletion resurfacing a previously non-maximal hyperedge): those
+   cases have no floor and take the full re-peel.  So do a floor of 0,
+   a region past the visit budget and any empty hyperedge anywhere
+   (its survival is a whole-hypergraph property in [Hypergraph_reduce]).
+   The floor itself caps at every level where a mutated hyperedge
+   could act as a containment witness mid-peel (DESIGN.md section 15
+   gives the argument).  Bit-identity with the full one-pass sweep
+   remains the invariant, asserted after every mutation by the
+   differential suite (test_kcore_inc.ml). *)
 
 module U = Hp_util
 module H = Hypergraph
 module HC = Hypergraph_core
 
-type strategy = Subcore | Component
-
-let strategy_to_string = function
-  | Subcore -> "subcore"
-  | Component -> "component"
-
 type stats = {
   mutable cascade_repairs : int;
-  mutable incremental_repairs : int;
   mutable repair_visited : int;
   mutable full_repeels : int;
   mutable budget_fallbacks : int;
 }
 
-type outcome = Cascade of int | Incremental of int | Repeel
+type outcome = Cascade of int | Repeel
 
 type op = Op_add_vertex | Op_add_edge | Op_del_edge of int
 
 type t = {
   budget : int;
-  strategy : strategy;
   mutable h : H.t;
   mutable dec : HC.decomposition;
   mutable empty_edges : int;
@@ -72,17 +55,17 @@ let count_empty h =
   done;
   !c
 
-let create ?(budget = 4096) ?(strategy = Subcore) h =
+let default_budget = 4096
+
+let create ?(budget = default_budget) h =
   {
     budget;
-    strategy;
     h;
     dec = HC.decompose ~domains:1 h;
     empty_edges = count_empty h;
     stats =
       {
         cascade_repairs = 0;
-        incremental_repairs = 0;
         repair_visited = 0;
         full_repeels = 0;
         budget_fallbacks = 0;
@@ -92,8 +75,6 @@ let create ?(budget = 4096) ?(strategy = Subcore) h =
 let decomposition t = t.dec
 let hypergraph t = t.h
 let stats t = t.stats
-let budget t = t.budget
-let strategy t = t.strategy
 
 let repeel t after =
   t.dec <- HC.decompose ~domains:1 after;
@@ -103,108 +84,6 @@ let repeel t after =
   Repeel
 
 exception Blown
-
-(* ------------------------------------------------------------------ *)
-(* Component strategy: PR 8's whole-component repair, kept verbatim as
-   the differential oracle and the cascade's structural-bail fallback. *)
-
-(* The overlap-connected region reachable from [seed] (a hyperedge id
-   of [h]), as sorted vertex and hyperedge id arrays, or [None] once
-   more than [budget] distinct vertices + hyperedges have been
-   visited. *)
-let component_region h ~budget ~seed =
-  let vseen = Hashtbl.create 64 and eseen = Hashtbl.create 64 in
-  let q = Queue.create () in
-  let visits = ref 0 in
-  let visit_edge e =
-    if not (Hashtbl.mem eseen e) then begin
-      Hashtbl.replace eseen e ();
-      incr visits;
-      if !visits > budget then raise Blown;
-      Queue.add e q
-    end
-  in
-  match
-    visit_edge seed;
-    while not (Queue.is_empty q) do
-      let e = Queue.take q in
-      Array.iter
-        (fun v ->
-          if not (Hashtbl.mem vseen v) then begin
-            Hashtbl.replace vseen v ();
-            incr visits;
-            if !visits > budget then raise Blown;
-            Array.iter visit_edge (H.vertex_edges h v)
-          end)
-        (H.edge_members h e)
-    done
-  with
-  | () ->
-    let collect seen =
-      let buf = U.Dynarray.create ~dummy:0 () in
-      Hashtbl.iter (fun i () -> U.Dynarray.push buf i) seen;
-      U.Sorted.of_array (U.Dynarray.to_array buf)
-    in
-    Some (collect vseen, collect eseen)
-  | exception Blown -> None
-
-(* Re-peel the whole region [vs]/[es] of [after] from scratch
-   (reduction included — the region is a full component, not a
-   boundary) and splice its levels over [vc]/[ec]. *)
-let splice_component t after ~vs ~es ~vc ~ec =
-  let sub, vmap, emap = H.sub after ~vertices:vs ~edges:es in
-  let ld = HC.decompose ~domains:1 sub in
-  Array.iteri (fun i v -> vc.(v) <- ld.HC.vertex_core.(i)) vmap;
-  Array.iteri (fun i e -> ec.(e) <- ld.HC.edge_core.(i)) emap;
-  let mc = Array.fold_left max 0 vc in
-  t.dec <- { HC.vertex_core = vc; edge_core = ec; max_core = mc };
-  t.h <- after;
-  let visited = Array.length vs + Array.length es in
-  t.stats.incremental_repairs <- t.stats.incremental_repairs + 1;
-  t.stats.repair_visited <- t.stats.repair_visited + visited;
-  Incremental visited
-
-let budget_repeel t after =
-  t.stats.budget_fallbacks <- t.stats.budget_fallbacks + 1;
-  repeel t after
-
-let component_add t ~after ~e =
-  (* Core numbers can change only inside the inserted hyperedge's
-     component of the NEW hypergraph (the union of the old components
-     of its members, now joined). *)
-  match component_region after ~budget:t.budget ~seed:e with
-  | None -> budget_repeel t after
-  | Some (vs, es) ->
-    let old = t.dec.HC.edge_core in
-    let ne = Array.length old in
-    let ec = Array.make (ne + 1) (-1) in
-    Array.blit old 0 ec 0 ne;
-    splice_component t after ~vs ~es ~vc:(Array.copy t.dec.HC.vertex_core) ~ec
-
-let component_del t ~after ~edge =
-  (* Everything the deletion can change — including hyperedges that
-     were non-maximal inside the deleted one and now resurface — is
-     inside the deleted hyperedge's component of the OLD hypergraph. *)
-  match component_region t.h ~budget:t.budget ~seed:edge with
-  | None -> budget_repeel t after
-  | Some (vs, es) ->
-    let old = t.dec.HC.edge_core in
-    let ne = Array.length old in
-    (* Deletion shifts later hyperedge ids down by one, both in the
-       maintained array and in the region's id set. *)
-    let ec = Array.make (ne - 1) (-1) in
-    for f = 0 to ne - 1 do
-      if f <> edge then ec.(if f > edge then f - 1 else f) <- old.(f)
-    done;
-    let es' =
-      let buf = U.Dynarray.create ~dummy:0 () in
-      Array.iter
-        (fun f ->
-          if f <> edge then U.Dynarray.push buf (if f > edge then f - 1 else f))
-        es;
-      U.Dynarray.to_array buf
-    in
-    splice_component t after ~vs ~es:es' ~vc:(Array.copy t.dec.HC.vertex_core) ~ec
 
 (* ------------------------------------------------------------------ *)
 (* Subcore cascade.                                                   *)
@@ -228,13 +107,13 @@ let scratch ~nv ~ne =
   if Array.length s.estamp < ne then s.estamp <- Array.make (max ne 16) 0;
   s
 
-(* The unified cascade analysis, shared by the single-mutation repairs
-   (as a batch of one) and [apply_batch].  [after] is the maintainer's
-   hypergraph with [ops] applied in order (appends at the end, deletes
-   shifting later ids down).  Returns [`Applied outcome] when the
-   cascade repaired the decomposition, [`Bail] when no sound band
-   floor exists (reduction-level structural change, or the floor
-   reached 0), and [`Blown] when the bounded region exceeded the
+(* The cascade rung of [apply_batch] (a single mutation is a batch of
+   one).  [after] is the maintainer's hypergraph with [ops] applied in
+   order (appends at the end, deletes shifting later ids down).
+   Returns [`Applied outcome] when the cascade repaired the
+   decomposition, [`Bail] when no sound band floor exists
+   (reduction-level structural change, an entangled burst, or the
+   floor reached 0), and [`Blown] when the bounded region exceeded the
    budget. *)
 let cascade_apply t ~after ~ops =
   let vc = t.dec.HC.vertex_core and ec = t.dec.HC.edge_core in
@@ -528,50 +407,26 @@ let add_vertex t ~after =
   let vc = Array.append d.HC.vertex_core [| 0 |] in
   t.dec <- { d with HC.vertex_core = vc };
   t.h <- after;
-  t.stats.incremental_repairs <- t.stats.incremental_repairs + 1;
+  t.stats.cascade_repairs <- t.stats.cascade_repairs + 1;
   t.stats.repair_visited <- t.stats.repair_visited + 1;
-  Incremental 1
+  Cascade 1
 
-(* Single-mutation repair ladder: cascade, then component re-peel on a
-   structural bail, then full re-peel only when a region blows the
-   budget (the component region contains the cascade region, so a
-   blown cascade cannot be rescued by the component path). *)
-let add_edge t ~after =
-  let e = H.n_edges after - 1 in
-  if H.edge_size after e = 0 || t.empty_edges > 0 then repeel t after
-  else begin
-    match t.strategy with
-    | Component -> component_add t ~after ~e
-    | Subcore -> (
-      match cascade_apply t ~after ~ops:[ Op_add_edge ] with
-      | `Applied o -> o
-      | `Bail -> component_add t ~after ~e
-      | `Blown -> budget_repeel t after)
-  end
-
-let del_edge t ~after ~edge =
-  if t.empty_edges > 0 then repeel t after
-  else begin
-    match t.strategy with
-    | Component -> component_del t ~after ~edge
-    | Subcore -> (
-      match cascade_apply t ~after ~ops:[ Op_del_edge edge ] with
-      | `Applied o -> o
-      | `Bail -> component_del t ~after ~edge
-      | `Blown -> budget_repeel t after)
-  end
-
+(* The ladder: cascade, else one full re-peel.  A blown budget is the
+   one bail also counted in [budget_fallbacks]. *)
 let apply_batch t ~after ~ops =
   match ops with
   | [] ->
     t.h <- after;
     t.stats.cascade_repairs <- t.stats.cascade_repairs + 1;
     Cascade 0
-  | _ ->
-    if t.empty_edges > 0 || t.strategy = Component then repeel t after
-    else begin
-      match cascade_apply t ~after ~ops with
-      | `Applied o -> o
-      | `Bail -> repeel t after
-      | `Blown -> budget_repeel t after
-    end
+  | _ when t.empty_edges > 0 -> repeel t after
+  | _ -> (
+    match cascade_apply t ~after ~ops with
+    | `Applied o -> o
+    | `Bail -> repeel t after
+    | `Blown ->
+      t.stats.budget_fallbacks <- t.stats.budget_fallbacks + 1;
+      repeel t after)
+
+let add_edge t ~after = apply_batch t ~after ~ops:[ Op_add_edge ]
+let del_edge t ~after ~edge = apply_batch t ~after ~ops:[ Op_del_edge edge ]

@@ -2,28 +2,26 @@
     a mutation stream (DESIGN.md sections 13 and 15).
 
     A maintainer owns the current hypergraph and its decomposition.
-    Each mutation repairs the decomposition instead of re-peeling.
-    Two strategies:
+    Each mutation, or burst of mutations, repairs the decomposition
+    through one two-rung ladder:
 
-    - {!Subcore} (default): bound the band of core levels the mutation
-      can disturb, rebuild the peel boundary at the band floor B
-      (vertices with core >= B, hyperedges with core >= B restricted
-      to them), collect the overlap component(s) of the mutation
-      inside that boundary, and resume the canonical sweep from level
-      B on just that region ({!Hypergraph_core.resume_peel}).  Repair
-      cost is O(affected subcore).  Mutations that change what the
-      initial reduction does (containment involving the mutated
-      hyperedge, resurfacing a previously non-maximal hyperedge) have
-      no sound band floor and fall through to the component re-peel.
-    - {!Component}: re-peel the whole overlap component touched by the
-      mutation (PR 8's repair), kept as the differential oracle and as
-      the cascade's structural-bail fallback.
+    - the subcore cascade: bound the band of core levels the burst can
+      disturb, rebuild the peel boundary at the band floor B (vertices
+      with core >= B, hyperedges with core >= B restricted to them),
+      collect the overlap component(s) of the burst inside that
+      boundary, and resume the canonical sweep from level B on just
+      that region ({!Hypergraph_core.resume_peel}).  Repair cost is
+      O(affected subcore).
+    - else one full re-peel.  It serves the bursts with no sound band
+      floor: a new hyperedge containing a live one, a deletion that
+      resurfaces a previously non-maximal hyperedge, an entangled
+      burst, a floor of 0, and any empty hyperedge anywhere (its
+      survival is a whole-hypergraph property in
+      {!Hypergraph_reduce}).  A region that exceeds the budget also
+      re-peels, and is additionally counted in [budget_fallbacks].
 
-    When a region exceeds the budget, or when an empty hyperedge
-    exists anywhere (its survival is a whole-hypergraph property in
-    {!Hypergraph_reduce}), the maintainer falls back to a full
-    re-peel; a blown budget is additionally counted in
-    [budget_fallbacks].
+    Appending an isolated vertex is an O(1) repair, counted as a
+    cascade of region 1.
 
     The maintained decomposition is bit-identical to
     [Hypergraph_core.decompose ~domains:1] of the current hypergraph
@@ -35,31 +33,21 @@
 
 type t
 
-type strategy =
-  | Subcore    (** band-bounded subcore cascade (the fast default) *)
-  | Component  (** whole-component re-peel (PR 8 oracle) *)
-
-val strategy_to_string : strategy -> string
-
 type stats = {
   mutable cascade_repairs : int;
-      (** Mutations (or batches) absorbed by a subcore cascade. *)
-  mutable incremental_repairs : int;
-      (** Mutations absorbed by a component re-peel (and O(1) vertex
-          appends), PR 8's counter. *)
+      (** Mutations (or batches) absorbed by a subcore cascade,
+          vertex appends included. *)
   mutable repair_visited : int;
-      (** Total vertices + hyperedges visited across all repairs. *)
+      (** Total vertices + hyperedges visited across all cascades. *)
   mutable full_repeels : int;
-      (** Mutations that fell back to a full re-peel (budget blown,
-          batch structural bail, or empty-hyperedge special case). *)
+      (** Mutations (or batches) repaired by a full re-peel. *)
   mutable budget_fallbacks : int;
       (** The subset of [full_repeels] forced by a blown region
           budget. *)
 }
 
 type outcome =
-  | Cascade of int      (** subcore region size visited *)
-  | Incremental of int  (** component region size visited *)
+  | Cascade of int  (** subcore region size visited *)
   | Repeel
 
 (** A mutation shape for {!apply_batch}: the structural effect only —
@@ -67,10 +55,13 @@ type outcome =
     replaying a WAL or applying a burst need not carry payloads. *)
 type op = Op_add_vertex | Op_add_edge | Op_del_edge of int
 
-val create : ?budget:int -> ?strategy:strategy -> Hypergraph.t -> t
-(** Full initial peel.  [budget] (default 4096) bounds the vertices +
-    hyperedges a repair may visit before falling back to a full
-    re-peel.  [strategy] defaults to {!Subcore}. *)
+val default_budget : int
+(** 4096: the region budget {!create} uses when given none. *)
+
+val create : ?budget:int -> Hypergraph.t -> t
+(** Full initial peel.  [budget] (default {!default_budget}) bounds
+    the vertices + hyperedges a cascade region may visit before the
+    repair falls back to a full re-peel. *)
 
 val decomposition : t -> Hypergraph_core.decomposition
 (** The current decomposition — an immutable snapshot record. *)
@@ -80,10 +71,6 @@ val hypergraph : t -> Hypergraph.t
 
 val stats : t -> stats
 
-val budget : t -> int
-
-val strategy : t -> strategy
-
 val add_vertex : t -> after:Hypergraph.t -> outcome
 (** The mutated hypergraph [after] must be the maintainer's current
     hypergraph with exactly one (isolated) vertex appended; O(1)
@@ -91,12 +78,13 @@ val add_vertex : t -> after:Hypergraph.t -> outcome
 
 val add_edge : t -> after:Hypergraph.t -> outcome
 (** [after] = current hypergraph with exactly one hyperedge appended
-    (members over existing vertices). *)
+    (members over existing vertices).  The one-op case of
+    {!apply_batch}. *)
 
 val del_edge : t -> after:Hypergraph.t -> edge:int -> outcome
 (** [after] = current hypergraph with hyperedge [edge] removed and
     later hyperedge ids shifted down by one (the WAL replay state's
-    deletion semantics). *)
+    deletion semantics).  The one-op case of {!apply_batch}. *)
 
 val apply_batch : t -> after:Hypergraph.t -> ops:op list -> outcome
 (** Apply a whole burst of mutations with one repair: [after] must be
@@ -104,6 +92,4 @@ val apply_batch : t -> after:Hypergraph.t -> ops:op list -> outcome
     (vertex and hyperedge appends at the end, deletions shifting later
     hyperedge ids down — Wal_live semantics).  One band, one region,
     one resumed sweep, so WAL-replay recovery and rewiring bursts
-    amortize the repair cost across the batch.  Structural bails go
-    straight to the full re-peel (no per-op component middle rung),
-    as does any batch under the {!Component} strategy. *)
+    amortize the repair cost across the batch. *)

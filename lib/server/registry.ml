@@ -47,7 +47,6 @@ type t = {
   max_file_bytes : int;  (* 0 = unlimited *)
   wal_sync : Wal.sync_policy;
   checkpoint_every : int;  (* 0 = manual checkpoints only *)
-  kcore_budget : int;  (* repair region budget for maintainers *)
 }
 
 type load_error =
@@ -55,21 +54,17 @@ type load_error =
   | Parse_failed of string
 
 let create ?(max_file_bytes = 0) ?(wal_sync = Wal.Batch) ?(checkpoint_every = 0)
-    ?(kcore_budget = 4096) () =
+    () =
   if max_file_bytes < 0 then invalid_arg "Registry.create: max_file_bytes < 0";
   if checkpoint_every < 0 then
     invalid_arg "Registry.create: checkpoint_every < 0";
-  if kcore_budget < 1 then invalid_arg "Registry.create: kcore_budget < 1";
   {
     mutex = Mutex.create ();
     table = Hashtbl.create 16;
     max_file_bytes;
     wal_sync;
     checkpoint_every;
-    kcore_budget;
   }
-
-let kcore_budget t = t.kcore_budget
 
 let op_shape : Wal.op -> HM.op = function
   | Wal.Add_vertex _ -> HM.Op_add_vertex
@@ -372,7 +367,7 @@ let load_with_wal t ~path ~wal_path (log : Wal.log) =
              whole replayed log as one batched cascade — recovery pays
              one repair for the burst instead of one peel of the final
              state (or n repairs). *)
-          let maint = HM.create ~budget:t.kcore_budget base_h in
+          let maint = HM.create base_h in
           if n > 0 then begin
             let ops =
               Array.to_list
@@ -506,13 +501,13 @@ let ensure_live entry =
     entry.live <- Some l;
     l
 
-let ensure_maintained t entry =
+let ensure_maintained entry =
   match entry.maint with
   | Some m -> m
   | None ->
     (* First mutation of this dataset: pay one full peel, then every
        subsequent mutation repairs incrementally. *)
-    let m = HM.create ~budget:t.kcore_budget entry.state.hypergraph in
+    let m = HM.create entry.state.hypergraph in
     entry.maint <- Some m;
     m
 
@@ -609,7 +604,7 @@ let mutate t key op =
               (* Build the maintainer from the pre-mutation state, so
                  its first full peel and this op's repair both happen
                  under the registry lock of this mutation. *)
-              let maint = ensure_maintained t entry in
+              let maint = ensure_maintained entry in
               let assigned = Live.apply_exn live op in
               entry.wal_records <- entry.wal_records + 1;
               let hypergraph = Live.to_hypergraph live in
@@ -681,7 +676,7 @@ let mutate_batch t key ops =
         | Ok w ->
           (* Built from the pre-batch state: its first full peel (if
              any) happens before the burst's ops are folded in. *)
-          let maint = ensure_maintained t entry in
+          let maint = ensure_maintained entry in
           let base_epoch = entry.state.epoch in
           let applied = ref 0 in
           let shapes = ref [] in

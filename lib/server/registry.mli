@@ -111,7 +111,6 @@ val create :
   ?max_file_bytes:int ->
   ?wal_sync:Hp_wal.Wal.sync_policy ->
   ?checkpoint_every:int ->
-  ?kcore_budget:int ->
   unit ->
   t
 (** [max_file_bytes] (default 0 = unlimited) rejects dataset files
@@ -119,12 +118,7 @@ val create :
     them, so a runaway input cannot OOM the daemon.  [wal_sync]
     (default [Batch]) is the fsync policy for WAL appends.
     [checkpoint_every] (default 0 = manual only) auto-compacts a
-    dataset's log whenever it accumulates that many records.
-    [kcore_budget] (default 4096, must be >= 1) bounds the vertices +
-    hyperedges a maintained-decomposition repair may visit before
-    falling back to a full re-peel. *)
-
-val kcore_budget : t -> int
+    dataset's log whenever it accumulates that many records. *)
 
 type load_error =
   | Read_failed of string   (** I/O: missing file, permissions, ... *)

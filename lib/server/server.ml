@@ -20,7 +20,6 @@ type config = {
   cache_file : string option;
   wal_sync : Hp_wal.Wal.sync_policy;
   wal_checkpoint_every : int;
-  kcore_budget : int;
   tcp : (string * int) option;
   http : (string * int) option;
 }
@@ -41,7 +40,6 @@ let default_config ~socket_path =
     cache_file = None;
     wal_sync = Hp_wal.Wal.Batch;
     wal_checkpoint_every = 0;
-    kcore_budget = 4096;
     tcp = None;
     http = None;
   }
@@ -396,7 +394,7 @@ let unknown_dataset_reply ds kind =
   | `Ambiguous ->
     P.err P.Unknown_dataset (Printf.sprintf "ambiguous digest prefix %S" ds)
 
-(* Repair accounting: cascades and component re-peels get distinct
+(* Repair accounting: cascades and full re-peels get distinct
    counters, and the region size feeds the [kcore_repair_visited]
    value histogram so the distribution (not just the total) is
    observable. *)
@@ -404,9 +402,6 @@ let count_repair t (repair : Hp_hypergraph.Hypergraph_maintain.outcome) =
   match repair with
   | Hp_hypergraph.Hypergraph_maintain.Cascade visited ->
     Metrics.incr t.metrics "kcore_cascade_repairs";
-    Metrics.observe_value t.metrics "kcore_repair_visited" visited
-  | Hp_hypergraph.Hypergraph_maintain.Incremental visited ->
-    Metrics.incr t.metrics "kcore_incremental_repairs";
     Metrics.observe_value t.metrics "kcore_repair_visited" visited
   | Hp_hypergraph.Hypergraph_maintain.Repeel ->
     Metrics.incr t.metrics "kcore_full_repeels"
@@ -532,7 +527,7 @@ let metrics_reply t (fmt : P.metrics_format) : P.reply =
 let info_reply t : P.reply =
   let module HM = Hp_hypergraph.Hypergraph_maintain in
   let maintained = ref 0 in
-  let casc = ref 0 and inc = ref 0 and full = ref 0 in
+  let casc = ref 0 and full = ref 0 in
   let fallbacks = ref 0 and visited = ref 0 in
   List.iter
     (fun (e : Registry.entry) ->
@@ -542,17 +537,14 @@ let info_reply t : P.reply =
         incr maintained;
         let s = HM.stats m in
         casc := !casc + s.HM.cascade_repairs;
-        inc := !inc + s.HM.incremental_repairs;
         full := !full + s.HM.full_repeels;
         fallbacks := !fallbacks + s.HM.budget_fallbacks;
         visited := !visited + s.HM.repair_visited)
     (Registry.list t.registry);
   P.Ok
     [
-      ("kcore_budget", string_of_int t.config.kcore_budget);
-      ("kcore_strategy", HM.strategy_to_string HM.Subcore);
+      ("kcore_budget", string_of_int HM.default_budget);
       ("kcore_cascade_repairs", string_of_int !casc);
-      ("kcore_component_repairs", string_of_int !inc);
       ("kcore_full_repeels", string_of_int !full);
       ("kcore_budget_fallbacks", string_of_int !fallbacks);
       ("kcore_repair_visited_total", string_of_int !visited);
@@ -1269,8 +1261,7 @@ let start config =
   let metrics = Metrics.create () in
   let registry =
     Registry.create ~max_file_bytes:config.max_file_bytes
-      ~wal_sync:config.wal_sync ~checkpoint_every:config.wal_checkpoint_every
-      ~kcore_budget:config.kcore_budget ()
+      ~wal_sync:config.wal_sync ~checkpoint_every:config.wal_checkpoint_every ()
   in
   let* () =
     List.fold_left

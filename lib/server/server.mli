@@ -73,12 +73,6 @@ type config = {
   (** Auto-compact a dataset's WAL into a fresh sibling snapshot after
       this many records ([--wal-checkpoint-every]); 0 (the default)
       compacts only on explicit [CHECKPOINT]. *)
-  kcore_budget : int;
-  (** Per-repair visit budget for the maintained k-core decomposition
-      ([--kcore-budget], default 4096): a mutation repair that would
-      touch more than this many vertices + hyperedges falls back to a
-      full re-peel instead (counted under [kcore_budget_fallbacks] and
-      reported by [INFO]).  Must be >= 1. *)
   tcp : (string * int) option;
   (** Also serve the text protocol over TCP on this host/port
       ([--tcp HOST:PORT]), via the nonblocking event loop.  Port 0

@@ -2,21 +2,17 @@
    (Hypergraph_maintain): replay randomized and adversarial mutation
    schedules through a maintainer and assert, after EVERY mutation,
    that the maintained decomposition is bit-identical to a full
-   one-pass re-peel of the current hypergraph.  Every schedule family
-   runs under both repair strategies — the subcore cascade (default)
-   and the whole-component re-peel oracle it falls back to.  Schedule
-   families:
+   one-pass re-peel of the current hypergraph, whichever rung of the
+   repair ladder (subcore cascade, else full re-peel) served it.
+   Schedule families:
 
-   - default budget: small graphs, so every repair must stay below the
-     budget (no full re-peels);
-   - adversarial budget (1): under the Component strategy every edge
-     op must blow the repair frontier and fall back to a full re-peel;
-     under Subcore the analysis itself is budget-free, so the answers
-     must stay bit-identical while any region walk that starts blows
-     the budget and is counted in budget_fallbacks;
-   - clique-of-complexes: one giant dense overlap component, so the
-     component oracle always re-peels almost everything while the
-     cascade must stay correct (and mostly local) through targeted
+   - default budget: small graphs, so no repair may blow the budget
+     (structural bails still take the full re-peel);
+   - adversarial budget (1): the band analysis itself is budget-free,
+     so the answers must stay bit-identical while any region walk
+     that starts blows the budget and is counted in budget_fallbacks;
+   - clique-of-complexes: one giant dense overlap component, where
+     the cascade must stay correct (and mostly local) through targeted
      mutation bursts;
    - empty-hyperedge schedules: empty edges are a whole-hypergraph
      property in Hypergraph_reduce, so their presence must force the
@@ -27,7 +23,10 @@
 
    The generator is the WAL crash suite's: valid by construction, so
    every prefix is a reachable server state.  Final states are also
-   cross-checked against decompose at 1, 2 and 7 domains. *)
+   cross-checked against decompose at 1, 2 and 7 domains.  Each
+   structural bail (a new complex containing a live one, a deletion
+   resurfacing a contained complex, a band floor of 0) also has a
+   hand-built case pinning it to exactly one full re-peel. *)
 
 module W = Hp_wal.Wal
 module L = Hp_wal.Live
@@ -94,9 +93,9 @@ let assert_domains name maint =
 
 (* Replay [ops] through one maintainer, checking bit-identity after
    every mutation; returns the maintainer for stats assertions. *)
-let replay ?budget ?strategy ?(base = HIO.of_string base_text) name ops =
+let replay ?budget ?(base = HIO.of_string base_text) name ops =
   let live = L.of_hypergraph base in
-  let maint = HM.create ?budget ?strategy base in
+  let maint = HM.create ?budget base in
   assert_maintained (name ^ " op -1") maint base;
   List.iteri
     (fun i op ->
@@ -148,68 +147,43 @@ let replay_batched ?budget ?(base = HIO.of_string base_text) name ~chunk ops =
   maint
 
 let test_randomized_schedules () =
-  let casc = ref 0 and inc = ref 0 in
+  let casc = ref 0 and full = ref 0 in
   for i = 0 to 99 do
     let rng = Prng.create (0x14C0 + i) in
     let n = 16 + Prng.int rng 17 in
     let ops = gen_ops rng ~nv0:5 ~ne0:3 n in
     let m_sub = replay (Printf.sprintf "subcore %d" i) ops in
-    let rng = Prng.create (0x14C0 + i) in
-    let n = 16 + Prng.int rng 17 in
-    let ops = gen_ops rng ~nv0:5 ~ne0:3 n in
-    let m_cmp =
-      replay ~strategy:HM.Component (Printf.sprintf "component %d" i) ops
-    in
     casc := !casc + (HM.stats m_sub).HM.cascade_repairs;
-    inc := !inc + (HM.stats m_cmp).HM.incremental_repairs;
-    (* The graphs are far smaller than the default budget: the only
-       legitimate fallbacks are empty-edge ones, and this family never
-       generates empty hyperedges. *)
+    full := !full + (HM.stats m_sub).HM.full_repeels;
+    (* The graphs are far smaller than the default budget, so no
+       re-peel may be a budget fallback. *)
     check "subcore: no fallback below budget" 0
-      (HM.stats m_sub).HM.full_repeels;
-    check "component: no fallback below budget" 0
-      (HM.stats m_cmp).HM.full_repeels;
-    if i mod 10 = 0 then begin
-      assert_domains (Printf.sprintf "subcore %d" i) m_sub;
-      assert_domains (Printf.sprintf "component %d" i) m_cmp
-    end
+      (HM.stats m_sub).HM.budget_fallbacks;
+    if i mod 10 = 0 then assert_domains (Printf.sprintf "subcore %d" i) m_sub
   done;
-  Printf.printf "randomized schedules: %d cascades, %d component repairs\n%!"
-    !casc !inc;
-  checkb "cascades happened" true (!casc > 0);
-  checkb "component repairs happened" true (!inc > 0)
+  Printf.printf "randomized schedules: %d cascades, %d full re-peels\n%!"
+    !casc !full;
+  checkb "cascades happened" true (!casc > 0)
 
 let test_adversarial_budget () =
-  (* Budget 1: the seed hyperedge alone exhausts the frontier.  Under
-     the Component strategy every ADDEDGE/DELEDGE must therefore fall
-     back to a full re-peel — and the answers must not care.  Under
-     Subcore the band analysis costs no budget, so only the repairs
-     that actually start a region walk fall back; identity is asserted
-     per-op by [replay] and the fallback counter must fire. *)
-  let repeels = ref 0 and edge_ops = ref 0 and fallbacks = ref 0 in
+  (* Budget 1: the seed alone exhausts the frontier.  The band
+     analysis costs no budget, so only the repairs that actually start
+     a region walk fall back; identity is asserted per-op by [replay]
+     and the fallback counter must fire. *)
+  let fallbacks = ref 0 in
   for i = 0 to 19 do
     let rng = Prng.create (0xB1DE + i) in
     let n = 12 + Prng.int rng 9 in
     let ops = gen_ops rng ~nv0:5 ~ne0:3 n in
-    let m_cmp =
-      replay ~budget:1 ~strategy:HM.Component (Printf.sprintf "budget-1 %d" i)
-        ops
-    in
-    edge_ops :=
-      !edge_ops
-      + List.length
-          (List.filter (function W.Add_vertex _ -> false | _ -> true) ops);
-    repeels := !repeels + (HM.stats m_cmp).HM.full_repeels;
     let m_sub = replay ~budget:1 (Printf.sprintf "budget-1 sub %d" i) ops in
     fallbacks := !fallbacks + (HM.stats m_sub).HM.budget_fallbacks
   done;
-  check "component: every edge op re-peeled" !edge_ops !repeels;
   checkb "subcore: budget fallbacks fired" true (!fallbacks > 0)
 
 (* One giant dense overlap component: [nc] complexes of size [k] laid
    around a ring of [nv] proteins with heavy pairwise overlap (stride
    smaller than k), so every hyperedge is overlap-connected to the
-   whole structure and component re-peel is maximally expensive. *)
+   whole structure. *)
 let clique_of_complexes ~nv ~nc ~k ~stride =
   let lines = Buffer.create 1024 in
   for v = 0 to nv - 1 do
@@ -250,13 +224,9 @@ let test_clique_of_complexes () =
     let rng = Prng.create (0xC11E + i) in
     let ops = gen_dense_ops rng ~nv:40 ~ne0:40 (20 + Prng.int rng 11) in
     let m_sub = replay ~base (Printf.sprintf "clique sub %d" i) ops in
-    let m_cmp =
-      replay ~base ~strategy:HM.Component (Printf.sprintf "clique cmp %d" i)
-        ops
-    in
     casc := !casc + (HM.stats m_sub).HM.cascade_repairs;
-    check "clique subcore: no fallback" 0 (HM.stats m_sub).HM.full_repeels;
-    ignore m_cmp;
+    check "clique subcore: no fallback" 0
+      (HM.stats m_sub).HM.budget_fallbacks;
     if i mod 5 = 0 then assert_domains (Printf.sprintf "clique %d" i) m_sub
   done;
   checkb "cascades fired on the giant component" true (!casc > 0)
@@ -270,8 +240,7 @@ let test_empty_edge_schedules () =
     let rng = Prng.create (0xE4417 + i) in
     let n = 12 + Prng.int rng 9 in
     let ops = gen_ops rng ~nv0:5 ~ne0:3 ~empty_every:4 n in
-    let strategy = if i mod 2 = 0 then HM.Subcore else HM.Component in
-    let maint = replay ~strategy (Printf.sprintf "empty-edge %d" i) ops in
+    let maint = replay (Printf.sprintf "empty-edge %d" i) ops in
     repeels := !repeels + (HM.stats maint).HM.full_repeels
   done;
   checkb "empty edges forced re-peels" true (!repeels > 0)
@@ -314,6 +283,47 @@ let test_batched_application () =
     ignore (replay_batched (Printf.sprintf "batched empty %d" i) ~chunk:4 ops)
   done;
   checkb "batched cascades happened" true (!casc > 0)
+
+(* One op with no sound band floor: the cascade must bail to exactly
+   one full re-peel — not a budget fallback — and stay bit-identical. *)
+let assert_structural_bail name ~base op =
+  let live = L.of_hypergraph base in
+  let maint = HM.create base in
+  (match L.apply live op with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "%s: %s" name m);
+  let after = L.to_hypergraph live in
+  let outcome =
+    match op with
+    | W.Add_vertex _ -> HM.add_vertex maint ~after
+    | W.Add_edge _ -> HM.add_edge maint ~after
+    | W.Del_edge { edge } -> HM.del_edge maint ~after ~edge
+  in
+  checkb (name ^ ": repeel") true (outcome = HM.Repeel);
+  check (name ^ ": one full re-peel") 1 (HM.stats maint).HM.full_repeels;
+  check (name ^ ": no budget fallback") 0
+    (HM.stats maint).HM.budget_fallbacks;
+  assert_maintained name maint after
+
+let test_add_swallow_bail () =
+  (* The new complex {0,1,2,3} strictly contains the live {0,1,2} and
+     {1,2,3}: it swallows them at reduction, so no floor is sound. *)
+  let base = H.create ~n_vertices:5 [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [ 2; 3; 4 ] ] in
+  assert_structural_bail "add-swallow" ~base
+    (W.Add_edge { name = "big"; members = [| 0; 1; 2; 3 |] })
+
+let test_resurface_bail () =
+  (* {1,2} is non-maximal inside {0,1,2,3}; deleting the container
+     resurfaces it at reduction. *)
+  let base = H.create ~n_vertices:5 [ [ 0; 1; 2; 3 ]; [ 1; 2 ]; [ 2; 3; 4 ] ] in
+  assert_structural_bail "resurface" ~base (W.Del_edge { edge = 0 })
+
+let test_zero_floor_bail () =
+  (* Vertices 5 and 6 are isolated (core 0), so an edge over them has
+     band floor 0: nothing below it is provably unchanged. *)
+  let base = H.create ~n_vertices:7 [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [ 2; 3; 4 ] ] in
+  assert_structural_bail "zero floor" ~base
+    (W.Add_edge { name = "iso"; members = [| 5; 6 |] })
 
 let test_isolating_delete () =
   (* DELEDGE of the last hyperedge containing a vertex: the vertex
@@ -370,7 +380,7 @@ let test_grow_from_empty () =
       assert_maintained (Printf.sprintf "grow op %d" i) maint after)
     ops;
   let s = HM.stats maint in
-  checkb "all incremental" true (s.HM.full_repeels = 0)
+  checkb "no budget fallback" true (s.HM.budget_fallbacks = 0)
 
 let () =
   Alcotest.run "hp_kcore_inc"
@@ -387,6 +397,12 @@ let () =
             test_empty_edge_schedules;
           Alcotest.test_case "batched application" `Slow
             test_batched_application;
+          Alcotest.test_case "add-swallow bails to one re-peel" `Quick
+            test_add_swallow_bail;
+          Alcotest.test_case "resurface bails to one re-peel" `Quick
+            test_resurface_bail;
+          Alcotest.test_case "zero floor bails to one re-peel" `Quick
+            test_zero_floor_bail;
           Alcotest.test_case "isolating delete" `Quick test_isolating_delete;
           Alcotest.test_case "grow from empty" `Quick test_grow_from_empty;
         ] );

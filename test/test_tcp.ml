@@ -506,7 +506,6 @@ let test_batched_mutations () =
         (List.assoc "kcore_budget_fallbacks" info = "0");
       let repairs =
         int_of_string (List.assoc "kcore_cascade_repairs" info)
-        + int_of_string (List.assoc "kcore_component_repairs" info)
         + int_of_string (List.assoc "kcore_full_repeels" info)
       in
       (* 4 applied ops, but the 3-op run cost one repair: at most 2

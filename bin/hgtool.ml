@@ -552,148 +552,32 @@ let socket_arg =
          ~doc:"Unix-domain socket of the server.")
 
 let serve_cmd =
-  let run socket workers cache timeout domains preload queue_limit
-      shed_watermark max_file_bytes failpoints stats_samples cache_file
-      wal_sync wal_checkpoint_every tcp http log_level =
-    (match Hp_util.Log.level_of_string log_level with
-    | Ok l -> Hp_util.Log.set_level l
-    | Error msg -> Printf.eprintf "hgtool: serve: %s, keeping info\n%!" msg);
-    let parse_bind what spec =
-      if spec = "" then None
-      else
-        match Hp_server.Netaddr.parse_hostport spec with
-        | Ok hp -> Some hp
-        | Error msg ->
-          Printf.eprintf "hgtool: serve: --%s %s\n" what msg;
-          exit 1
+  let run config =
+    let ( let* ) r f =
+      match r with
+      | Ok v -> f v
+      | Error msg ->
+        Printf.eprintf "hgtool: serve: %s\n" msg;
+        exit 1
     in
-    let tcp = parse_bind "tcp" tcp in
-    let http = parse_bind "http" http in
-    let config =
-      {
-        Hp_server.Server.socket_path = socket;
-        workers;
-        cache_capacity = cache;
-        request_timeout = timeout;
-        compute_domains = domains;
-        preload;
-        queue_limit;
-        shed_watermark;
-        max_file_bytes;
-        failpoints;
-        stats_samples;
-        cache_file = (if cache_file = "" then None else Some cache_file);
-        wal_sync;
-        wal_checkpoint_every;
-        tcp;
-        http;
-      }
-    in
-    match Hp_server.Server.start config with
-    | Error msg ->
-      Printf.eprintf "hgtool: serve: %s\n" msg;
-      exit 1
-    | Ok t ->
-      Printf.printf "hgtool: serving on %s (%d workers, %d cache entries)\n%!"
-        socket workers cache;
-      Option.iter
-        (fun p -> Printf.printf "hgtool: tcp protocol on port %d\n%!" p)
-        (Hp_server.Server.tcp_port t);
-      Option.iter
-        (fun p -> Printf.printf "hgtool: http /metrics + /healthz on port %d\n%!" p)
-        (Hp_server.Server.http_port t);
-      let stop_signal _ = Hp_server.Server.request_stop t in
-      ignore (Sys.signal Sys.sigint (Sys.Signal_handle stop_signal));
-      ignore (Sys.signal Sys.sigterm (Sys.Signal_handle stop_signal));
-      Hp_server.Server.wait t
-  in
-  let workers =
-    Arg.(value & opt int (Hp_util.Parallel.recommended_domains ())
-         & info [ "w"; "workers" ] ~docv:"N" ~doc:"Worker pool size.")
-  in
-  let cache =
-    Arg.(value & opt int 128 & info [ "cache" ] ~docv:"N"
-           ~doc:"Result cache entry budget (0 disables caching).")
-  in
-  let timeout =
-    Arg.(value & opt float 30.0 & info [ "timeout" ] ~docv:"SECONDS"
-           ~doc:"Per-request compute budget (0 disables the check).")
-  in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Domains handed to each analysis kernel.")
-  in
-  let preload =
-    Arg.(value & opt_all file [] & info [ "preload" ] ~docv:"FILE"
-           ~doc:"Dataset to load before accepting connections (repeatable).")
-  in
-  let queue_limit =
-    Arg.(value & opt int 128 & info [ "queue-limit" ] ~docv:"N"
-           ~doc:"Connections waiting for a worker before ERR busy.")
-  in
-  let shed_watermark =
-    Arg.(value & opt int 64 & info [ "shed-watermark" ] ~docv:"N"
-           ~doc:"Queue depth at which analyses become cache-only \
-                 (0 disables shedding).")
-  in
-  let max_file_bytes =
-    Arg.(value & opt int (1 lsl 30) & info [ "max-file-bytes" ] ~docv:"BYTES"
-           ~doc:"Reject dataset files larger than this (0 = unlimited).")
-  in
-  let failpoints =
-    let env = Cmd.Env.info "HGD_FAILPOINTS" in
-    Arg.(value & opt string "" & info [ "failpoints" ] ~env ~docv:"SPEC"
-           ~doc:"Fault-injection spec (test-only).")
-  in
-  let stats_samples =
-    Arg.(value & opt int 0 & info [ "stats-samples" ] ~docv:"N"
-           ~doc:"Estimate STATS path metrics from N sampled BFS sources \
-                 (0 = exact).")
-  in
-  let cache_file =
-    Arg.(value & opt string "" & info [ "cache-file" ] ~docv:"FILE"
-           ~doc:"Persist the result cache here on shutdown and restore it \
-                 on startup, so a restarted server answers repeated \
-                 queries warm (empty = memory-only).")
-  in
-  let policy_conv =
-    Arg.conv
-      ( (fun s ->
-          Result.map_error (fun m -> `Msg m) (Wal.sync_policy_of_string s)),
-        fun ppf p -> Format.pp_print_string ppf (Wal.sync_policy_to_string p) )
-  in
-  let wal_sync =
-    Arg.(value & opt policy_conv Wal.Batch & info [ "wal-sync" ] ~docv:"POLICY"
-           ~doc:"fsync policy for write-ahead-log appends: $(i,always), \
-                 $(i,batch) (default), or $(i,never).")
-  in
-  let wal_checkpoint_every =
-    Arg.(value & opt int 0 & info [ "wal-checkpoint-every" ] ~docv:"N"
-           ~doc:"Compact a dataset's WAL into a fresh sibling snapshot \
-                 after every N mutations (0 = manual CHECKPOINT only).")
-  in
-  let tcp =
-    Arg.(value & opt string "" & info [ "tcp" ] ~docv:"HOST:PORT"
-           ~doc:"Also serve the protocol over TCP via the nonblocking event \
-                 loop (port 0 = ephemeral); the same port answers HTTP \
-                 $(i,GET /metrics) and $(i,GET /healthz).")
-  in
-  let http =
-    Arg.(value & opt string "" & info [ "http" ] ~docv:"HOST:PORT"
-           ~doc:"Dedicated HTTP port for $(i,GET /metrics) and \
-                 $(i,GET /healthz).")
-  in
-  let log_level =
-    let env = Cmd.Env.info "HGD_LOG_LEVEL" in
-    Arg.(value & opt string "info" & info [ "log-level" ] ~env ~docv:"LEVEL"
-           ~doc:"Structured-log threshold: debug, info, warn, or error.")
+    let* config = config in
+    let* t = Hp_server.Server.start config in
+    Printf.printf "hgtool: serving on %s (%d workers, %d cache entries)\n%!"
+      config.Hp_server.Server.socket_path config.workers config.cache_capacity;
+    Option.iter
+      (fun p -> Printf.printf "hgtool: tcp protocol on port %d\n%!" p)
+      (Hp_server.Server.tcp_port t);
+    Option.iter
+      (fun p -> Printf.printf "hgtool: http /metrics + /healthz on port %d\n%!" p)
+      (Hp_server.Server.http_port t);
+    let stop_signal _ = Hp_server.Server.request_stop t in
+    ignore (Sys.signal Sys.sigint (Sys.Signal_handle stop_signal));
+    ignore (Sys.signal Sys.sigterm (Sys.Signal_handle stop_signal));
+    Hp_server.Server.wait t
   in
   Cmd.v
     (Cmd.info "serve" ~doc:"Run the resident analysis server in the foreground.")
-    Term.(const run $ socket_arg $ workers $ cache $ timeout $ domains $ preload
-          $ queue_limit $ shed_watermark $ max_file_bytes $ failpoints
-          $ stats_samples $ cache_file $ wal_sync $ wal_checkpoint_every
-          $ tcp $ http $ log_level)
+    Term.(const run $ Serve_flags.term ~prog:"hgtool: serve")
 
 (* The one-shot commands and `query` target the Unix socket by
    default; --tcp HOST:PORT aims them at a TCP server instead — same

@@ -400,33 +400,31 @@ let cascade_apply t ~after ~ops =
 (* ------------------------------------------------------------------ *)
 (* Public mutation entry points.                                      *)
 
-let add_vertex t ~after =
-  (* An appended vertex is isolated: its own component, core 0,
-     nothing else reachable. *)
+(* Appended vertices are isolated: each is its own component at core
+   0 with nothing else reachable, so the repair is the array copy. *)
+let append_vertices t ~after n =
   let d = t.dec in
-  let vc = Array.append d.HC.vertex_core [| 0 |] in
+  let vc = Array.append d.HC.vertex_core (Array.make n 0) in
   t.dec <- { d with HC.vertex_core = vc };
   t.h <- after;
   t.stats.cascade_repairs <- t.stats.cascade_repairs + 1;
-  t.stats.repair_visited <- t.stats.repair_visited + 1;
-  Cascade 1
+  t.stats.repair_visited <- t.stats.repair_visited + n;
+  Cascade n
 
 (* The ladder: cascade, else one full re-peel.  A blown budget is the
    one bail also counted in [budget_fallbacks]. *)
 let apply_batch t ~after ~ops =
-  match ops with
-  | [] ->
-    t.h <- after;
-    t.stats.cascade_repairs <- t.stats.cascade_repairs + 1;
-    Cascade 0
-  | _ when t.empty_edges > 0 -> repeel t after
-  | _ -> (
+  if List.for_all (( = ) Op_add_vertex) ops then
+    append_vertices t ~after (List.length ops)
+  else if t.empty_edges > 0 then repeel t after
+  else
     match cascade_apply t ~after ~ops with
     | `Applied o -> o
     | `Bail -> repeel t after
     | `Blown ->
       t.stats.budget_fallbacks <- t.stats.budget_fallbacks + 1;
-      repeel t after)
+      repeel t after
 
+let add_vertex t ~after = apply_batch t ~after ~ops:[ Op_add_vertex ]
 let add_edge t ~after = apply_batch t ~after ~ops:[ Op_add_edge ]
 let del_edge t ~after ~edge = apply_batch t ~after ~ops:[ Op_del_edge edge ]

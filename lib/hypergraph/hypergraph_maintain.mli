@@ -20,8 +20,9 @@
       {!Hypergraph_reduce}).  A region that exceeds the budget also
       re-peels, and is additionally counted in [budget_fallbacks].
 
-    Appending an isolated vertex is an O(1) repair, counted as a
-    cascade of region 1.
+    A burst made only of vertex appends is an O(1) repair plus the
+    array copy, counted as a cascade whose region is the appended
+    vertices.
 
     The maintained decomposition is bit-identical to
     [Hypergraph_core.decompose ~domains:1] of the current hypergraph
@@ -72,9 +73,8 @@ val hypergraph : t -> Hypergraph.t
 val stats : t -> stats
 
 val add_vertex : t -> after:Hypergraph.t -> outcome
-(** The mutated hypergraph [after] must be the maintainer's current
-    hypergraph with exactly one (isolated) vertex appended; O(1)
-    repair plus the array copy. *)
+(** [after] = current hypergraph with exactly one (isolated) vertex
+    appended.  The one-op case of {!apply_batch}: [Cascade 1]. *)
 
 val add_edge : t -> after:Hypergraph.t -> outcome
 (** [after] = current hypergraph with exactly one hyperedge appended
@@ -92,4 +92,5 @@ val apply_batch : t -> after:Hypergraph.t -> ops:op list -> outcome
     (vertex and hyperedge appends at the end, deletions shifting later
     hyperedge ids down — Wal_live semantics).  One band, one region,
     one resumed sweep, so WAL-replay recovery and rewiring bursts
-    amortize the repair cost across the batch. *)
+    amortize the repair cost across the batch.  A burst of [n] vertex
+    appends alone is answered in O(1) as [Cascade n]. *)

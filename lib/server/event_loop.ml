@@ -45,7 +45,7 @@ type conn = {
 type t = {
   poller : Poller.t;
   metrics : Metrics.t;
-  on_request : conn -> payload -> verdict;
+  on_request : t -> conn -> payload -> verdict;
   on_http : peer:string -> string list -> string;
   listeners : (Unix.file_descr * [ `Protocol | `Http ]) list;
   conns : (int, conn) Hashtbl.t;
@@ -190,7 +190,7 @@ let is_http_method = function
 
 let dispatch t c payload =
   c.in_flight <- true;
-  match t.on_request c payload with
+  match t.on_request t c payload with
   | Dispatched -> ()
   | Reply_now s ->
     c.in_flight <- false;

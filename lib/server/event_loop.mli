@@ -46,6 +46,8 @@ type verdict =
     ownership of the (already bound and listening) [listeners] and
     spawns the loop domain.  [on_request] is called on the loop domain
     with the loop lock held — it must only enqueue work and return.
+    It is handed the loop itself, so work it dispatches can {!send}
+    and {!finish} even before [create] has returned.
     [on_http] receives the raw request head (request line first) and
     returns the full response bytes. *)
 val create :
@@ -53,7 +55,7 @@ val create :
   ?max_connections:int ->
   ?max_outbox_bytes:int ->
   metrics:Metrics.t ->
-  on_request:(conn -> payload -> verdict) ->
+  on_request:(t -> conn -> payload -> verdict) ->
   on_http:(peer:string -> string list -> string) ->
   listeners:(Unix.file_descr * [ `Protocol | `Http ]) list ->
   unit ->

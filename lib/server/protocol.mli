@@ -54,9 +54,12 @@
     sends the BATCH line followed by n ordinary request lines, and the
     server answers with n tagged sub-replies — for each item, the line
     [ITEM <i>] (0-based, in request order) followed by that item's
-    standard OK/ERR framing.  Each sub-reply is flushed as soon as it
-    is computed, so the client may consume item i while item i+1 is
-    still being served.  [SHUTDOWN] and nested [BATCH] are rejected
+    standard OK/ERR framing.  The server reads all n item lines
+    before it answers item 0; each sub-reply is then flushed as soon
+    as it is computed, so the client may consume item i while item
+    i+1 is still being served.  A connection that ends inside the
+    run gets no item replies, and an oversized item line one plain
+    [ERR bad-request]; either way the connection then closes.  [SHUTDOWN] and nested [BATCH] are rejected
     per-item with [bad-request]; a malformed item line likewise gets
     its own [ERR] without poisoning its neighbours. *)
 

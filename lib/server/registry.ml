@@ -582,63 +582,6 @@ let checkpoint t key =
         | Ok _ as ok -> ok
         | Error (`Io msg) -> Error (`Io msg)))
 
-let mutate t key op =
-  locked t (fun () ->
-      match resolve_locked t key with
-      | `Missing -> Error `Missing
-      | `Ambiguous -> Error `Ambiguous
-      | `Found entry -> (
-        let live = ensure_live entry in
-        match Live.validate live op with
-        | Error msg -> Error (`Invalid msg)
-        | Ok () -> (
-          match ensure_writer t entry with
-          | Error (`Io msg) -> Error (`Io msg)
-          | Ok w -> (
-            let epoch = entry.state.epoch + 1 in
-            (* WAL before apply: if the append fails the op was never
-               acknowledged and the in-memory state is untouched. *)
-            match Wal.append w { Wal.epoch; op } with
-            | Error e -> Error (`Io (Wal.error_to_string e))
-            | Ok () ->
-              (* Build the maintainer from the pre-mutation state, so
-                 its first full peel and this op's repair both happen
-                 under the registry lock of this mutation. *)
-              let maint = ensure_maintained entry in
-              let assigned = Live.apply_exn live op in
-              entry.wal_records <- entry.wal_records + 1;
-              let hypergraph = Live.to_hypergraph live in
-              let repair =
-                match op with
-                | Wal.Add_vertex _ -> HM.add_vertex maint ~after:hypergraph
-                | Wal.Add_edge _ -> HM.add_edge maint ~after:hypergraph
-                | Wal.Del_edge { edge } ->
-                  HM.del_edge maint ~after:hypergraph ~edge
-              in
-              entry.state <-
-                { epoch; hypergraph; cores = Some (HM.decomposition maint) };
-              let checkpointed =
-                t.checkpoint_every > 0
-                && entry.wal_records >= t.checkpoint_every
-                &&
-                match checkpoint_locked t entry with
-                | Ok _ -> true
-                | Error (`Io msg) ->
-                  Log.warn ~comp:"registry"
-                    ~fields:[ ("dataset", entry.digest); ("error", msg) ]
-                    "auto-checkpoint failed; log keeps growing";
-                  false
-              in
-              Ok
-                {
-                  epoch;
-                  assigned;
-                  n_vertices = H.n_vertices entry.state.hypergraph;
-                  n_edges = H.n_edges entry.state.hypergraph;
-                  checkpointed;
-                  repair;
-                }))))
-
 (* ---------------------------------------------------------------- *)
 (* Batched mutation                                                 *)
 
@@ -661,8 +604,10 @@ type batch_result = {
    decomposition repair (HM.apply_batch) and one state rebuild at the
    end, instead of per-op repairs.  Ops validate sequentially against
    the evolving state; an invalid op is skipped with a per-item error
-   and the rest of the burst continues (matching what the per-op path
-   would have produced).  A WAL append failure aborts the remainder —
+   and the rest of the burst continues.  The WAL writer opens at the
+   first op that validates, so rejected ops on a never-mutated dataset
+   create no log, and a writer that cannot open fails the burst before
+   anything is applied.  A WAL append failure aborts the remainder —
    those ops were never acknowledged. *)
 let mutate_batch t key ops =
   locked t (fun () ->
@@ -671,83 +616,104 @@ let mutate_batch t key ops =
       | `Ambiguous -> Error `Ambiguous
       | `Found entry -> (
         let live = ensure_live entry in
-        match ensure_writer t entry with
-        | Error (`Io msg) -> Error (`Io msg)
-        | Ok w ->
-          (* Built from the pre-batch state: its first full peel (if
-             any) happens before the burst's ops are folded in. *)
+        let base_epoch = entry.state.epoch in
+        let applied = ref 0 in
+        let shapes = ref [] in
+        let aborted = ref None in
+        let exception No_writer of string in
+        let item op =
+          match !aborted with
+          | Some msg -> Error (`Io ("batch aborted: " ^ msg))
+          | None -> (
+            match Live.validate live op with
+            | Error msg -> Error (`Invalid msg)
+            | Ok () -> (
+              let w =
+                match ensure_writer t entry with
+                | Ok w -> w
+                | Error (`Io msg) -> raise (No_writer msg)
+              in
+              let epoch = base_epoch + !applied + 1 in
+              (* WAL before apply: if the append fails the op was never
+                 acknowledged and the in-memory state is untouched. *)
+              match Wal.append w { Wal.epoch; op } with
+              | Error e ->
+                let msg = Wal.error_to_string e in
+                aborted := Some msg;
+                Error (`Io msg)
+              | Ok () ->
+                let assigned = Live.apply_exn live op in
+                incr applied;
+                shapes := op_shape op :: !shapes;
+                Ok
+                  {
+                    b_epoch = epoch;
+                    b_assigned = assigned;
+                    b_n_vertices = Live.n_vertices live;
+                    b_n_edges = Live.n_edges live;
+                  }))
+        in
+        match Array.of_list (List.map item ops) with
+        | exception No_writer msg -> Error (`Io msg)
+        | items when !applied = 0 ->
+          Ok
+            {
+              items;
+              batch_repair = None;
+              batch_applied = 0;
+              batch_checkpointed = false;
+            }
+        | items ->
+          (* [entry.state] is still the pre-burst state, so a first
+             mutation builds the maintainer (one full peel) from it
+             and the burst's ops are folded in by one repair. *)
           let maint = ensure_maintained entry in
-          let base_epoch = entry.state.epoch in
-          let applied = ref 0 in
-          let shapes = ref [] in
-          let aborted = ref None in
-          let items =
-            Array.of_list
-              (List.map
-                 (fun op ->
-                   match !aborted with
-                   | Some msg -> Error (`Io ("batch aborted: " ^ msg))
-                   | None -> (
-                     match Live.validate live op with
-                     | Error msg -> Error (`Invalid msg)
-                     | Ok () -> (
-                       let epoch = base_epoch + !applied + 1 in
-                       match Wal.append w { Wal.epoch; op } with
-                       | Error e ->
-                         let msg = Wal.error_to_string e in
-                         aborted := Some msg;
-                         Error (`Io msg)
-                       | Ok () ->
-                         let assigned = Live.apply_exn live op in
-                         incr applied;
-                         shapes := op_shape op :: !shapes;
-                         Ok
-                           {
-                             b_epoch = epoch;
-                             b_assigned = assigned;
-                             b_n_vertices = Live.n_vertices live;
-                             b_n_edges = Live.n_edges live;
-                           })))
-                 ops)
+          entry.wal_records <- entry.wal_records + !applied;
+          let hypergraph = Live.to_hypergraph live in
+          let repair =
+            HM.apply_batch maint ~after:hypergraph ~ops:(List.rev !shapes)
           in
-          if !applied = 0 then
-            Ok
-              {
-                items;
-                batch_repair = None;
-                batch_applied = 0;
-                batch_checkpointed = false;
-              }
-          else begin
-            entry.wal_records <- entry.wal_records + !applied;
-            let hypergraph = Live.to_hypergraph live in
-            let repair =
-              HM.apply_batch maint ~after:hypergraph
-                ~ops:(List.rev !shapes)
-            in
-            entry.state <-
-              {
-                epoch = base_epoch + !applied;
-                hypergraph;
-                cores = Some (HM.decomposition maint);
-              };
-            let checkpointed =
-              t.checkpoint_every > 0
-              && entry.wal_records >= t.checkpoint_every
-              &&
-              match checkpoint_locked t entry with
-              | Ok _ -> true
-              | Error (`Io msg) ->
-                Log.warn ~comp:"registry"
-                  ~fields:[ ("dataset", entry.digest); ("error", msg) ]
-                  "auto-checkpoint failed; log keeps growing";
-                false
-            in
-            Ok
-              {
-                items;
-                batch_repair = Some repair;
-                batch_applied = !applied;
-                batch_checkpointed = checkpointed;
-              }
-          end))
+          entry.state <-
+            {
+              epoch = base_epoch + !applied;
+              hypergraph;
+              cores = Some (HM.decomposition maint);
+            };
+          let checkpointed =
+            t.checkpoint_every > 0
+            && entry.wal_records >= t.checkpoint_every
+            &&
+            match checkpoint_locked t entry with
+            | Ok _ -> true
+            | Error (`Io msg) ->
+              Log.warn ~comp:"registry"
+                ~fields:[ ("dataset", entry.digest); ("error", msg) ]
+                "auto-checkpoint failed; log keeps growing";
+              false
+          in
+          Ok
+            {
+              items;
+              batch_repair = Some repair;
+              batch_applied = !applied;
+              batch_checkpointed = checkpointed;
+            }))
+
+type mutate_error = [ `Missing | `Ambiguous | `Invalid of string | `Io of string ]
+
+let mutate t key op =
+  match mutate_batch t key [ op ] with
+  | Error e -> Error (e :> mutate_error)
+  | Ok r -> (
+    match r.items.(0) with
+    | Error e -> Error (e :> mutate_error)
+    | Ok b ->
+      Ok
+        {
+          epoch = b.b_epoch;
+          assigned = b.b_assigned;
+          n_vertices = b.b_n_vertices;
+          n_edges = b.b_n_edges;
+          checkpointed = r.batch_checkpointed;
+          repair = Option.get r.batch_repair;
+        })

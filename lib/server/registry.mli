@@ -160,10 +160,11 @@ val mutate :
   Hp_wal.Wal.op ->
   (applied, [ `Missing | `Ambiguous | `Invalid of string | `Io of string ])
   result
-(** Validate the op against the dataset's current state, append it to
-    the WAL, then apply it and publish the new [state].  [`Invalid]
-    (client error) and [`Io] (append/WAL-create failure) leave the
-    state untouched — an op is applied iff it is durable. *)
+(** The one-op case of {!mutate_batch}: validate the op against the
+    dataset's current state, append it to the WAL, then apply it and
+    publish the new [state].  [`Invalid] (client error) and [`Io]
+    (append/WAL-create failure) leave the state untouched — an op is
+    applied iff it is durable — and a rejected op opens no WAL. *)
 
 type batch_item = {
   b_epoch : int;           (** The epoch this op created. *)
@@ -199,8 +200,9 @@ val mutate_batch :
     outcomes match what the same sequence through {!mutate} would have
     produced.  A WAL append failure aborts the remaining ops (they
     were never acknowledged); already-appended ops stay applied.
-    [`Io] is returned only when the WAL writer itself cannot be
-    created. *)
+    The WAL writer opens at the first op that validates; [`Io] is
+    returned only when it cannot be created, before anything is
+    applied. *)
 
 type checkpoint_info = {
   snapshot_path : string;

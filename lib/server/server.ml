@@ -47,14 +47,15 @@ let default_config ~socket_path =
 (* A worker job is either a whole blocking Unix-socket connection (the
    worker owns its read loop until the client leaves), or one
    already-framed request off a TCP connection (the event loop owns
-   the socket; the worker only computes and hands bytes back).  Both
-   carry the timestamp they were queued at so the worker can measure
-   the queue wait. *)
+   the socket; the worker only computes and hands bytes back through
+   the loop the job carries).  Both carry the timestamp they were
+   queued at so the worker can measure the queue wait. *)
 type job =
   | Conn of Unix.file_descr * float
   | Parsed of parsed_job
 
 and parsed_job = {
+  loop : Event_loop.t;
   pconn : Event_loop.conn;
   payload : Event_loop.payload;
   enqueued_at : float;
@@ -406,30 +407,55 @@ let count_repair t (repair : Hp_hypergraph.Hypergraph_maintain.outcome) =
   | Hp_hypergraph.Hypergraph_maintain.Repeel ->
     Metrics.incr t.metrics "kcore_full_repeels"
 
-let mutate_reply t dataset (op : Hp_wal.Wal.op) : P.reply =
-  match Registry.mutate t.registry dataset op with
-  | Ok a ->
-    Metrics.incr t.metrics "mutations_total";
-    Metrics.incr t.metrics "wal_records_appended";
-    if a.Registry.checkpointed then Metrics.incr t.metrics "wal_checkpoints";
-    count_repair t a.Registry.repair;
-    P.Ok
-      ([ ("epoch", string_of_int a.Registry.epoch) ]
-      @ (match a.Registry.assigned with
-        | Some id -> [ ("assigned", string_of_int id) ]
-        | None -> [])
-      @ [
-          ("vertices", string_of_int a.Registry.n_vertices);
-          ("hyperedges", string_of_int a.Registry.n_edges);
-          ("checkpointed", string_of_bool a.Registry.checkpointed);
-        ])
-  | Error ((`Missing | `Ambiguous) as kind) -> unknown_dataset_reply dataset kind
-  | Error (`Invalid msg) ->
-    Metrics.incr t.metrics "mutation_rejects";
-    P.err P.Bad_request msg
+(* Apply a run of mutations on one dataset — a lone mutation request is
+   a run of one — through one [Registry.mutate_batch]: one lock
+   acquisition, one WAL window, one decomposition repair.  Each op gets
+   the reply it would get on its own; the run's single repair is
+   counted once, and the auto-checkpoint (if any) is attributed to the
+   last applied item. *)
+let mutation_replies t dataset ops : P.reply array =
+  match Registry.mutate_batch t.registry dataset ops with
+  | Ok r ->
+    let applied = r.Registry.batch_applied in
+    if applied > 0 then begin
+      Metrics.incr t.metrics ~by:applied "mutations_total";
+      Metrics.incr t.metrics ~by:applied "wal_records_appended"
+    end;
+    if r.Registry.batch_checkpointed then Metrics.incr t.metrics "wal_checkpoints";
+    Option.iter (count_repair t) r.Registry.batch_repair;
+    let last_ok = ref (-1) in
+    Array.iteri (fun k item -> if Result.is_ok item then last_ok := k) r.Registry.items;
+    Array.mapi
+      (fun k item ->
+        match item with
+        | Ok (b : Registry.batch_item) ->
+          let checkpointed = r.Registry.batch_checkpointed && k = !last_ok in
+          P.Ok
+            ([ ("epoch", string_of_int b.Registry.b_epoch) ]
+            @ (match b.Registry.b_assigned with
+              | Some id -> [ ("assigned", string_of_int id) ]
+              | None -> [])
+            @ [
+                ("vertices", string_of_int b.Registry.b_n_vertices);
+                ("hyperedges", string_of_int b.Registry.b_n_edges);
+                ("checkpointed", string_of_bool checkpointed);
+              ])
+        | Error (`Invalid msg) ->
+          Metrics.incr t.metrics "mutation_rejects";
+          P.err P.Bad_request msg
+        | Error (`Io msg) ->
+          Metrics.incr t.metrics "io_errors";
+          P.err P.Io_error msg)
+      r.Registry.items
+  | Error ((`Missing | `Ambiguous) as kind) ->
+    Array.of_list (List.map (fun _ -> unknown_dataset_reply dataset kind) ops)
   | Error (`Io msg) ->
-    Metrics.incr t.metrics "io_errors";
-    P.err P.Io_error msg
+    Array.of_list
+      (List.map
+         (fun _ ->
+           Metrics.incr t.metrics "io_errors";
+           P.err P.Io_error msg)
+         ops)
 
 let checkpoint_reply t dataset : P.reply =
   match Registry.checkpoint t.registry dataset with
@@ -603,61 +629,232 @@ let verb_counter : P.request -> string = function
   | P.Shutdown -> "requests_shutdown"
   | P.Batch _ -> "requests_batch"
 
-let handle_request t ~t0 ~tr (req : P.request) : P.reply * [ `Continue | `Stop ] =
+let handle_request t ~t0 ~tr (req : P.request) : P.reply =
   Metrics.incr t.metrics (verb_counter req);
   match req with
-  | P.Load path -> (load_reply t path, `Continue)
-  | P.Analyze { dataset; analysis } ->
-    (analyze_reply t ~t0 ~tr dataset analysis, `Continue)
-  | P.Add_vertex { dataset; name } ->
-    (mutate_reply t dataset (Hp_wal.Wal.Add_vertex { name }), `Continue)
-  | P.Add_edge { dataset; name; members } ->
-    ( mutate_reply t dataset
-        (Hp_wal.Wal.Add_edge { name; members = Array.of_list members }),
-      `Continue )
-  | P.Del_edge { dataset; edge } ->
-    (mutate_reply t dataset (Hp_wal.Wal.Del_edge { edge }), `Continue)
-  | P.Checkpoint dataset -> (checkpoint_reply t dataset, `Continue)
+  | P.Load path -> load_reply t path
+  | P.Analyze { dataset; analysis } -> analyze_reply t ~t0 ~tr dataset analysis
+  | P.Checkpoint dataset -> checkpoint_reply t dataset
   | P.Datasets ->
     let entries = Registry.list t.registry in
-    (P.Ok (List.map (fun e -> (e.Registry.digest, entry_summary e)) entries), `Continue)
-  | P.Info -> (info_reply t, `Continue)
-  | P.Metrics fmt -> (metrics_reply t fmt, `Continue)
-  | P.Trace n -> (trace_reply t n, `Continue)
+    P.Ok (List.map (fun e -> (e.Registry.digest, entry_summary e)) entries)
+  | P.Info -> info_reply t
+  | P.Metrics fmt -> metrics_reply t fmt
+  | P.Trace n -> trace_reply t n
   | P.Evict None ->
     let n = Result_cache.clear t.cache in
-    (P.Ok [ ("dropped_results", string_of_int n) ], `Continue)
-  | P.Evict (Some ds) ->
-    (match Registry.evict t.registry ds with
+    P.Ok [ ("dropped_results", string_of_int n) ]
+  | P.Evict (Some ds) -> (
+    match Registry.evict t.registry ds with
     | Some entry ->
       Metrics.incr t.metrics "datasets_evicted";
       let n = Result_cache.drop_dataset t.cache ~digest:entry.digest in
-      ( P.Ok
-          [ ("evicted_dataset", entry.digest); ("dropped_results", string_of_int n) ],
-        `Continue )
-    | None ->
-      ( P.err P.Unknown_dataset (Printf.sprintf "no resident dataset %S" ds),
-        `Continue ))
+      P.Ok [ ("evicted_dataset", entry.digest); ("dropped_results", string_of_int n) ]
+    | None -> P.err P.Unknown_dataset (Printf.sprintf "no resident dataset %S" ds))
   | P.Ping ->
-    ( P.Ok
-        [
-          ("pong", "hgd");
-          ("uptime_s", Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started_at));
-        ],
-      `Continue )
-  | P.Shutdown -> (P.Ok [ ("shutting_down", "true") ], `Stop)
-  | P.Batch _ ->
-    (* Batch headers are consumed at the connection level (they need
-       to read the item lines off the wire); reaching here means a
-       direct API caller passed one through. *)
-    (P.err P.Bad_request "BATCH heads a pipelined run; items follow on the wire", `Continue)
+    P.Ok
+      [
+        ("pong", "hgd");
+        ("uptime_s", Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started_at));
+      ]
+  | P.Shutdown -> P.Ok [ ("shutting_down", "true") ]
+  | P.Add_vertex _ | P.Add_edge _ | P.Del_edge _ | P.Batch _ ->
+    (* [serve_frame] serves every mutation in a run and every BATCH as
+       a frame, so neither reaches the per-request dispatch. *)
+    invalid_arg "Server.handle_request: mutation or BATCH outside a frame"
+
+(* ---------- the request core ---------- *)
+
+(* A request that names a mutation gives its dataset and WAL op;
+   every maximal run of them on one dataset is served together. *)
+let mutation_of_request : P.request -> (string * Hp_wal.Wal.op) option = function
+  | P.Add_vertex { dataset; name } ->
+    Some (dataset, Hp_wal.Wal.Add_vertex { name })
+  | P.Add_edge { dataset; name; members } ->
+    Some (dataset, Hp_wal.Wal.Add_edge { name; members = Array.of_list members })
+  | P.Del_edge { dataset; edge } -> Some (dataset, Hp_wal.Wal.Del_edge { edge })
+  | _ -> None
+
+(* SHUTDOWN and nested BATCH are refused per item, without poisoning
+   the neighbours. *)
+let parse_item line =
+  match P.parse_request line with
+  | Ok P.Shutdown -> Error "SHUTDOWN is not allowed inside BATCH"
+  | Ok (P.Batch _) -> Error "nested BATCH is not allowed"
+  | r -> r
+
+let internal_error t e =
+  Metrics.incr t.metrics "compute_errors";
+  P.err P.Internal (Printexc.to_string e)
+
+(* One request of a frame.  [prefix] is the ITEM tag its reply goes
+   out behind ("" for a lone request).  [clock] is its start time and
+   trace: a lone request's start before its parse, a batch item's
+   when the item is served. *)
+type slot = {
+  line : string;
+  parsed : (P.request, string) result;
+  prefix : string;
+  clock : (float * Trace.active) option;
+}
+
+let start_clock t ~queue_us ~batched line =
+  Metrics.incr t.metrics "requests_total";
+  if batched then Metrics.incr t.metrics "batch_items";
+  (Unix.gettimeofday (), Trace.start t.trace ~queue_us ~request:line ())
+
+let clock_of t slot =
+  match slot.clock with
+  | Some c -> c
+  | None -> start_clock t ~queue_us:0 ~batched:true slot.line
+
+(* Write one reply and account it: status counters, latency, the trace
+   record and its debug line.  Latency is observed after [write]
+   returns, so serialization and (on the blocking path) write time are
+   part of it; a failed write is still a finished — and accounted —
+   request. *)
+let send_reply t ~write slot (t0, tr) reply =
+  let status =
+    match reply with
+    | P.Err { code; _ } ->
+      Metrics.incr t.metrics "responses_err";
+      "err-" ^ P.error_code_to_string code
+    | P.Ok _ -> "ok"
+  in
+  let account status =
+    Metrics.observe_latency t.metrics (Unix.gettimeofday () -. t0);
+    let r = Trace.finish t.trace tr ~status in
+    if Log.enabled Log.Debug then
+      Log.debug ~comp:"server"
+        ~fields:
+          [
+            ("trace", string_of_int r.Trace.id);
+            ("status", r.status);
+            ("cached", string_of_bool r.cached);
+            ("total_us", string_of_int r.total_us);
+            ("queue_us", string_of_int r.queue_us);
+            ("parse_us", string_of_int r.parse_us);
+            ("cache_us", string_of_int r.cache_us);
+            ("compute_us", string_of_int r.compute_us);
+            ("write_us", string_of_int r.write_us);
+            ("request", r.request);
+          ]
+        "request"
+  in
+  match
+    Trace.timed tr Trace.Write (fun () -> write (slot.prefix ^ P.encode_reply reply))
+  with
+  | () -> account status
+  | exception e ->
+    account "write-error";
+    raise e
+
+let answer t ~write slot =
+  let ((t0, tr) as c) = clock_of t slot in
+  let reply =
+    match slot.parsed with
+    | Error msg ->
+      Metrics.incr t.metrics "bad_requests";
+      P.err P.Bad_request msg
+    | Ok req -> (
+      try handle_request t ~t0 ~tr req with
+      | Hp_util.Fault.Killed _ as e -> raise e
+      | e -> internal_error t e)
+  in
+  send_reply t ~write slot c reply
+
+(* [run]: consecutive mutations on [dataset], each with its slot and
+   request.  Their clocks start together, before the one apply. *)
+let serve_run t ~write ~dataset run =
+  let clocks =
+    Array.map
+      (fun (slot, req, _) ->
+        Metrics.incr t.metrics (verb_counter req);
+        clock_of t slot)
+      run
+  in
+  let replies =
+    try mutation_replies t dataset (Array.to_list (Array.map (fun (_, _, op) -> op) run))
+    with
+    | Hp_util.Fault.Killed _ as e -> raise e
+    | e -> Array.map (fun _ -> internal_error t e) run
+  in
+  Array.iteri
+    (fun k (slot, _, _) -> send_reply t ~write slot clocks.(k) replies.(k))
+    run
+
+(* Answer a frame's requests in order: every maximal run of mutations
+   on one dataset is one [serve_run], everything else is answered on
+   its own. *)
+let serve_slots t ~write slots =
+  let n = Array.length slots in
+  let mutation i =
+    if i >= n then None
+    else
+      match slots.(i).parsed with
+      | Ok req ->
+        Option.map
+          (fun (ds, op) -> (ds, (slots.(i), req, op)))
+          (mutation_of_request req)
+      | Error _ -> None
+  in
+  let rec go i =
+    if i < n then
+      match mutation i with
+      | None ->
+        answer t ~write slots.(i);
+        go (i + 1)
+      | Some (ds, m) ->
+        let rec extend j run =
+          match mutation j with
+          | Some (ds', m') when String.equal ds' ds -> extend (j + 1) (m' :: run)
+          | _ ->
+            serve_run t ~write ~dataset:ds (Array.of_list (List.rev run));
+            go j
+        in
+        extend (i + 1) [ m ]
+  in
+  go 0
+
+(* The one request core behind both transports: serve a frame — a
+   request line, or a BATCH header with all its item lines — handing
+   each reply to [write] as soon as it is computed.  The Unix path's
+   [write] is a blocking [write_all] that may raise, the TCP path's is
+   [Event_loop.send], which never does.  [`Stop]: the frame was a
+   SHUTDOWN, already answered. *)
+let serve_frame t ~write ~queue_us (payload : Event_loop.payload) =
+  match payload with
+  | Event_loop.Single line ->
+    let ((_, tr) as c) = start_clock t ~queue_us ~batched:false line in
+    let parsed = Trace.timed tr Trace.Parse (fun () -> P.parse_request line) in
+    serve_slots t ~write [| { line; parsed; prefix = ""; clock = Some c } |];
+    (match parsed with Ok P.Shutdown -> `Stop | _ -> `Continue)
+  | Event_loop.Batch { header; n; items } ->
+    let t0, tr = start_clock t ~queue_us ~batched:false header in
+    Metrics.incr t.metrics (verb_counter (P.Batch n));
+    Metrics.incr t.metrics "batch_requests";
+    serve_slots t ~write
+      (Array.of_list
+         (List.mapi
+            (fun i line ->
+              { line; parsed = parse_item line; prefix = P.item_line i ^ "\n"; clock = None })
+            items));
+    (* The header's own record spans the whole run. *)
+    Metrics.observe_latency t.metrics (Unix.gettimeofday () -. t0);
+    ignore (Trace.finish t.trace tr ~status:"ok");
+    `Continue
 
 (* ---------- connection plumbing ---------- *)
 
 type conn = { fd : Unix.file_descr; mutable pending : string }
 
+let strip_cr line =
+  let n = String.length line in
+  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+
 (* Reads block in slices of the poll interval so a worker parked on an
-   idle keep-alive connection notices shutdown promptly. *)
+   idle keep-alive connection notices shutdown promptly.  At EOF an
+   unterminated last line comes back once, as [`Tail]. *)
 let rec read_line t conn =
   match String.index_opt conn.pending '\n' with
   | Some i when i > P.max_line_bytes ->
@@ -667,12 +864,7 @@ let rec read_line t conn =
     let line = String.sub conn.pending 0 i in
     conn.pending <-
       String.sub conn.pending (i + 1) (String.length conn.pending - i - 1);
-    let line =
-      if line <> "" && line.[String.length line - 1] = '\r' then
-        String.sub line 0 (String.length line - 1)
-      else line
-    in
-    `Line line
+    `Line (strip_cr line)
   | None ->
     if String.length conn.pending > P.max_line_bytes then begin
       Metrics.incr t.metrics "oversized_requests";
@@ -686,7 +878,7 @@ let rec read_line t conn =
         else begin
           let line = conn.pending in
           conn.pending <- "";
-          `Line line
+          `Tail (strip_cr line)
         end
       | n ->
         conn.pending <- conn.pending ^ Bytes.sub_string buf 0 n;
@@ -694,6 +886,29 @@ let rec read_line t conn =
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
         if Atomic.get t.stopping then `Eof else read_line t conn
     end
+
+(* Frame a blocking connection the way [Event_loop] frames TCP: a
+   request line, or a BATCH header with all [n] of its item lines.
+   EOF inside a run, an unterminated item included, drops the run. *)
+let rec read_frame t conn =
+  match read_line t conn with
+  | (`Eof | `Oversized) as stop -> stop
+  | `Line line | `Tail line -> (
+    if String.trim line = "" then read_frame t conn
+    else
+      match P.parse_request line with
+      | Ok (P.Batch n) ->
+        let rec items k acc =
+          if k = n then
+            `Frame (Event_loop.Batch { header = line; n; items = List.rev acc })
+          else
+            match read_line t conn with
+            | `Line item -> items (k + 1) (item :: acc)
+            | `Tail _ | `Eof -> `Eof
+            | `Oversized -> `Oversized
+        in
+        items 0 []
+      | _ -> `Frame (Event_loop.Single line))
 
 (* How long a blocking reply write may stall on a full socket buffer
    (cumulative, per reply) before the connection is declared a lost
@@ -747,171 +962,6 @@ let initiate_stop t =
     with _ -> ()
   end
 
-(* Answer one already-parsed request line: compute the reply, hand the
-   bytes to [write] behind [prefix] (the ITEM tag for batched items,
-   "" otherwise) and account metrics/trace.  Shared by both
-   transports: the Unix path's [write] is a blocking [write_all] that
-   may raise, the TCP path's is [Event_loop.send], which never does.
-   Service time is observed after [write] returns, so serialization
-   and (for the blocking path) write time are part of the request
-   latency; a failed write is still a finished — and accounted —
-   request. *)
-let answer_parsed t ~tr ~t0 ~prefix ~write parsed : [ `Continue | `Stop | `Close ]
-    =
-  let reply, control =
-    match parsed with
-    | Error msg ->
-      Metrics.incr t.metrics "bad_requests";
-      (P.err P.Bad_request msg, `Continue)
-    | Ok req -> (
-      try handle_request t ~t0 ~tr req
-      with
-      | Hp_util.Fault.Killed _ as e -> raise e
-      | e ->
-        Metrics.incr t.metrics "compute_errors";
-        (P.err P.Internal (Printexc.to_string e), `Continue))
-  in
-  let status =
-    match reply with
-    | P.Err { code; _ } ->
-      Metrics.incr t.metrics "responses_err";
-      "err-" ^ P.error_code_to_string code
-    | P.Ok _ -> "ok"
-  in
-  let account status =
-    Metrics.observe_latency t.metrics (Unix.gettimeofday () -. t0);
-    let r = Trace.finish t.trace tr ~status in
-    if Log.enabled Log.Debug then
-      Log.debug ~comp:"server"
-        ~fields:
-          [
-            ("trace", string_of_int r.Trace.id);
-            ("status", r.status);
-            ("cached", string_of_bool r.cached);
-            ("total_us", string_of_int r.total_us);
-            ("queue_us", string_of_int r.queue_us);
-            ("parse_us", string_of_int r.parse_us);
-            ("cache_us", string_of_int r.cache_us);
-            ("compute_us", string_of_int r.compute_us);
-            ("write_us", string_of_int r.write_us);
-            ("request", r.request);
-          ]
-        "request"
-  in
-  (match
-     Trace.timed tr Trace.Write (fun () -> write (prefix ^ P.encode_reply reply))
-   with
-  | () -> account status
-  | exception e ->
-    account "write-error";
-    raise e);
-  (control :> [ `Continue | `Stop | `Close ])
-
-(* A batch item that is a mutation names its dataset and WAL op shape;
-   maximal consecutive runs of mutations on one dataset inside a TCP
-   BATCH are served by a single [Registry.mutate_batch] below. *)
-let mutation_of_request : P.request -> (string * Hp_wal.Wal.op) option = function
-  | P.Add_vertex { dataset; name } ->
-    Some (dataset, Hp_wal.Wal.Add_vertex { name })
-  | P.Add_edge { dataset; name; members } ->
-    Some (dataset, Hp_wal.Wal.Add_edge { name; members = Array.of_list members })
-  | P.Del_edge { dataset; edge } -> Some (dataset, Hp_wal.Wal.Del_edge { edge })
-  | _ -> None
-
-(* Serve a run of >= 2 consecutive mutations on one dataset (items
-   [first .. first + length run - 1] of a TCP batch) through one
-   [Registry.mutate_batch]: one lock acquisition, one WAL window, one
-   decomposition repair for the burst.  Per-item replies and counters
-   match what the same ops through the per-op path would produce; the
-   batch's single repair is counted once, and the auto-checkpoint (if
-   any) is attributed to the last applied item. *)
-let serve_mutation_run t ~write ~dataset ~first (run : (string * Hp_wal.Wal.op) array)
-    =
-  let t0 = Unix.gettimeofday () in
-  let trs =
-    Array.map
-      (fun (line, op) ->
-        Metrics.incr t.metrics "requests_total";
-        Metrics.incr t.metrics "batch_items";
-        Metrics.incr t.metrics
-          (match op with
-          | Hp_wal.Wal.Add_vertex _ -> "requests_addvertex"
-          | Hp_wal.Wal.Add_edge _ -> "requests_addedge"
-          | Hp_wal.Wal.Del_edge _ -> "requests_deledge");
-        Trace.start t.trace ~queue_us:0 ~request:line ())
-      run
-  in
-  let ops = Array.to_list (Array.map snd run) in
-  let replies =
-    match Registry.mutate_batch t.registry dataset ops with
-    | Ok r ->
-      if r.Registry.batch_applied > 0 then begin
-        Metrics.incr t.metrics ~by:r.Registry.batch_applied "mutations_total";
-        Metrics.incr t.metrics ~by:r.Registry.batch_applied
-          "wal_records_appended"
-      end;
-      if r.Registry.batch_checkpointed then
-        Metrics.incr t.metrics "wal_checkpoints";
-      Option.iter (count_repair t) r.Registry.batch_repair;
-      let last_ok = ref (-1) in
-      Array.iteri
-        (fun k item -> if Result.is_ok item then last_ok := k)
-        r.Registry.items;
-      Array.mapi
-        (fun k item ->
-          match item with
-          | Ok (b : Registry.batch_item) ->
-            let checkpointed = r.Registry.batch_checkpointed && k = !last_ok in
-            P.Ok
-              ([ ("epoch", string_of_int b.Registry.b_epoch) ]
-              @ (match b.Registry.b_assigned with
-                | Some id -> [ ("assigned", string_of_int id) ]
-                | None -> [])
-              @ [
-                  ("vertices", string_of_int b.Registry.b_n_vertices);
-                  ("hyperedges", string_of_int b.Registry.b_n_edges);
-                  ("checkpointed", string_of_bool checkpointed);
-                ])
-          | Error (`Invalid msg) ->
-            Metrics.incr t.metrics "mutation_rejects";
-            P.err P.Bad_request msg
-          | Error (`Io msg) ->
-            Metrics.incr t.metrics "io_errors";
-            P.err P.Io_error msg)
-        r.Registry.items
-    | Error ((`Missing | `Ambiguous) as kind) ->
-      Array.map (fun _ -> unknown_dataset_reply dataset kind) run
-    | Error (`Io msg) ->
-      Array.map
-        (fun _ ->
-          Metrics.incr t.metrics "io_errors";
-          P.err P.Io_error msg)
-        run
-  in
-  Array.iteri
-    (fun k reply ->
-      let status =
-        match reply with
-        | P.Err { code; _ } ->
-          Metrics.incr t.metrics "responses_err";
-          "err-" ^ P.error_code_to_string code
-        | P.Ok _ -> "ok"
-      in
-      let tr = trs.(k) in
-      let account status =
-        Metrics.observe_latency t.metrics (Unix.gettimeofday () -. t0);
-        ignore (Trace.finish t.trace tr ~status)
-      in
-      match
-        Trace.timed tr Trace.Write (fun () ->
-            write (P.item_line (first + k) ^ "\n" ^ P.encode_reply reply))
-      with
-      | () -> account status
-      | exception e ->
-        account "write-error";
-        raise e)
-    replies
-
 let serve_connection t (fd, accepted_at) =
   Metrics.incr t.metrics "connections";
   (* Accept-to-pickup wait.  It belongs to the connection, so it is
@@ -922,60 +972,8 @@ let serve_connection t (fd, accepted_at) =
   let pending_queue_us = ref (max 0 (int_of_float (queue_wait *. 1e6))) in
   (try Unix.setsockopt_float fd SO_RCVTIMEO 0.25 with _ -> ());
   let conn = { fd; pending = "" } in
-  let answer ~tr ~t0 ~prefix parsed =
-    answer_parsed t ~tr ~t0 ~prefix ~write:(write_all fd) parsed
-  in
-  (* A BATCH header was read: consume its n item lines and answer each
-     in order, flushing every sub-reply as soon as it is computed so
-     the client can overlap its reads with our compute.  Each item
-     carries its own metrics counters and trace record; SHUTDOWN and
-     nested BATCH are refused per-item without poisoning neighbours. *)
-  let serve_batch ~header_tr ~header_t0 n =
-    Metrics.incr t.metrics "batch_requests";
-    let rec items i =
-      if i >= n then `Continue
-      else
-        match read_line t conn with
-        | `Eof -> `Close
-        | `Oversized ->
-          Metrics.incr t.metrics "responses_err";
-          (try
-             write_all fd
-               (P.item_line i ^ "\n"
-               ^ P.encode_reply
-                   (P.err P.Bad_request
-                      (Printf.sprintf "request line exceeds %d bytes"
-                         P.max_line_bytes)))
-           with _ -> ());
-          `Close
-        | `Line line ->
-          let t0 = Unix.gettimeofday () in
-          Metrics.incr t.metrics "requests_total";
-          Metrics.incr t.metrics "batch_items";
-          let tr = Trace.start t.trace ~queue_us:0 ~request:line () in
-          let parsed =
-            Trace.timed tr Trace.Parse (fun () ->
-                match P.parse_request line with
-                | Result.Ok P.Shutdown ->
-                  Result.Error "SHUTDOWN is not allowed inside BATCH"
-                | Result.Ok (P.Batch _) ->
-                  Result.Error "nested BATCH is not allowed"
-                | r -> r)
-          in
-          (match answer ~tr ~t0 ~prefix:(P.item_line i ^ "\n") parsed with
-          | `Continue -> items (i + 1)
-          | (`Stop | `Close) as c -> c)
-    in
-    let control = items 0 in
-    (* The header's own record spans the whole pipelined run. *)
-    Metrics.observe_latency t.metrics (Unix.gettimeofday () -. header_t0);
-    ignore
-      (Trace.finish t.trace header_tr
-         ~status:(match control with `Continue -> "ok" | _ -> "aborted"));
-    control
-  in
   let rec loop () =
-    match read_line t conn with
+    match read_frame t conn with
     | `Eof -> ()
     | `Oversized ->
       (* The line cannot be parsed for a request id, so answer once and
@@ -985,24 +983,11 @@ let serve_connection t (fd, accepted_at) =
         (P.encode_reply
            (P.err P.Bad_request
               (Printf.sprintf "request line exceeds %d bytes" P.max_line_bytes)))
-    | `Line line when String.trim line = "" -> loop ()
-    | `Line line ->
-      let t0 = Unix.gettimeofday () in
-      Metrics.incr t.metrics "requests_total";
+    | `Frame payload -> (
       let queue_us = !pending_queue_us in
       pending_queue_us := 0;
-      let tr = Trace.start t.trace ~queue_us ~request:line () in
-      let parsed = Trace.timed tr Trace.Parse (fun () -> P.parse_request line) in
-      let control =
-        match parsed with
-        | Result.Ok (P.Batch n) ->
-          Metrics.incr t.metrics (verb_counter (P.Batch n));
-          serve_batch ~header_tr:tr ~header_t0:t0 n
-        | parsed -> answer ~tr ~t0 ~prefix:"" parsed
-      in
-      (match control with
+      match serve_frame t ~write:(write_all fd) ~queue_us payload with
       | `Continue -> loop ()
-      | `Close -> ()
       | `Stop -> initiate_stop t)
   in
   Fun.protect
@@ -1023,132 +1008,35 @@ let serve_connection t (fd, accepted_at) =
    its next pipelined frame.  Whatever happens — including a lethal
    failpoint killing the domain — the connection must be released, or
    it would hang in-flight forever. *)
-let serve_parsed t (job : parsed_job) =
-  match t.event_loop with
-  | None -> ()
-  | Some loop ->
-    let conn = job.pconn in
-    let send s = Event_loop.send loop conn s in
-    let queue_wait = Unix.gettimeofday () -. job.enqueued_at in
-    Metrics.observe t.metrics "queue_wait" queue_wait;
-    let queue_us = max 0 (int_of_float (queue_wait *. 1e6)) in
-    let body () =
-      Hp_util.Fault.point "worker.job";
-      match job.payload with
-      | Event_loop.Single line ->
-        let t0 = Unix.gettimeofday () in
-        Metrics.incr t.metrics "requests_total";
-        let tr = Trace.start t.trace ~queue_us ~request:line () in
-        let parsed =
-          Trace.timed tr Trace.Parse (fun () -> P.parse_request line)
-        in
-        answer_parsed t ~tr ~t0 ~prefix:"" ~write:send parsed
-      | Event_loop.Batch { header; n = _; items } ->
-        let header_t0 = Unix.gettimeofday () in
-        Metrics.incr t.metrics "requests_total";
-        Metrics.incr t.metrics (verb_counter (P.Batch 0));
-        Metrics.incr t.metrics "batch_requests";
-        let header_tr = Trace.start t.trace ~queue_us ~request:header () in
-        (* Pre-parse every item so maximal consecutive runs of
-           mutations on one dataset can be grouped into a single
-           [Registry.mutate_batch] (one lock, one WAL window, one
-           decomposition repair); everything else — including
-           singleton mutations, which keep the per-op repair ladder —
-           goes through the ordinary per-item path. *)
-        let arr =
-          Array.of_list
-            (List.map
-               (fun line ->
-                 ( line,
-                   match P.parse_request line with
-                   | Result.Ok P.Shutdown ->
-                     Result.Error "SHUTDOWN is not allowed inside BATCH"
-                   | Result.Ok (P.Batch _) ->
-                     Result.Error "nested BATCH is not allowed"
-                   | r -> r ))
-               items)
-        in
-        let n = Array.length arr in
-        let mut_of i =
-          match snd arr.(i) with
-          | Result.Ok req -> mutation_of_request req
-          | Result.Error _ -> None
-        in
-        let single i =
-          let line, parsed = arr.(i) in
-          let t0 = Unix.gettimeofday () in
-          Metrics.incr t.metrics "requests_total";
-          Metrics.incr t.metrics "batch_items";
-          let tr = Trace.start t.trace ~queue_us:0 ~request:line () in
-          answer_parsed t ~tr ~t0
-            ~prefix:(P.item_line i ^ "\n")
-            ~write:send parsed
-        in
-        let rec go i =
-          if i >= n then `Continue
-          else
-            match mut_of i with
-            | Some (ds, _) ->
-              let j = ref i in
-              while
-                !j + 1 < n
-                &&
-                match mut_of (!j + 1) with
-                | Some (ds', _) -> String.equal ds' ds
-                | None -> false
-              do
-                incr j
-              done;
-              if !j = i then (
-                match single i with
-                | `Continue -> go (i + 1)
-                | (`Stop | `Close) as c -> c)
-              else begin
-                let run =
-                  Array.init
-                    (!j - i + 1)
-                    (fun k ->
-                      let line, _ = arr.(i + k) in
-                      match mut_of (i + k) with
-                      | Some (_, op) -> (line, op)
-                      | None -> assert false)
-                in
-                serve_mutation_run t ~write:send ~dataset:ds ~first:i run;
-                go (!j + 1)
-              end
-            | None -> (
-              match single i with
-              | `Continue -> go (i + 1)
-              | (`Stop | `Close) as c -> c)
-        in
-        let control = go 0 in
-        Metrics.observe_latency t.metrics (Unix.gettimeofday () -. header_t0);
-        ignore
-          (Trace.finish t.trace header_tr
-             ~status:(match control with `Continue -> "ok" | _ -> "aborted"));
-        control
-    in
-    (match body () with
-    | `Continue -> Event_loop.finish loop conn ~close:false
-    | `Close -> Event_loop.finish loop conn ~close:true
-    | `Stop ->
-      Event_loop.finish loop conn ~close:true;
-      initiate_stop t
-    | exception e ->
-      Event_loop.finish loop conn ~close:true;
-      raise e)
+let serve_parsed t { loop; pconn; payload; enqueued_at } =
+  let queue_wait = Unix.gettimeofday () -. enqueued_at in
+  Metrics.observe t.metrics "queue_wait" queue_wait;
+  let queue_us = max 0 (int_of_float (queue_wait *. 1e6)) in
+  match
+    Hp_util.Fault.point "worker.job";
+    serve_frame t ~write:(Event_loop.send loop pconn) ~queue_us payload
+  with
+  | `Continue -> Event_loop.finish loop pconn ~close:false
+  | `Stop ->
+    Event_loop.finish loop pconn ~close:true;
+    initiate_stop t
+  | exception e ->
+    Event_loop.finish loop pconn ~close:true;
+    raise e
 
 (* Admission decision for a framed TCP request; runs on the loop
    domain, so it only queues and returns.  Unlike the Unix path, a
    busy rejection answers on the existing connection and keeps it open
    — reconnecting through a full queue would only add load. *)
-let on_loop_request t pconn payload : Event_loop.verdict =
+let on_loop_request t loop pconn payload : Event_loop.verdict =
   if Atomic.get t.stopping then Event_loop.Close_now
   else
     match t.pool with
     | None -> Event_loop.Close_now
     | Some pool -> (
-      let job = Parsed { pconn; payload; enqueued_at = Unix.gettimeofday () } in
+      let job =
+        Parsed { loop; pconn; payload; enqueued_at = Unix.gettimeofday () }
+      in
       match Worker.submit pool job with
       | `Accepted -> Event_loop.Dispatched
       | `Stopping -> Event_loop.Close_now

@@ -2,13 +2,21 @@
     holding datasets resident and memoizing analyses.
 
     Architecture: one accept domain feeds Unix-socket connections to a
-    fixed {!Worker} pool; each worker serves its connection's requests
-    in a read-parse-dispatch-reply loop until the client disconnects.
-    With [tcp] (and/or [http]) configured, an {!Event_loop} domain
-    additionally multiplexes every TCP connection nonblockingly —
-    framing requests in user space and submitting them to the same
-    worker pool one at a time per connection — so a slow or stalled
-    client costs buffer memory, never a worker or the accept path.
+    fixed {!Worker} pool; each worker reads its connection frame by
+    frame — a request line, or a [BATCH] header with all its item
+    lines — until the client disconnects.  With [tcp] (and/or [http])
+    configured, an {!Event_loop} domain additionally multiplexes every
+    TCP connection nonblockingly — framing requests the same way in
+    user space and submitting each frame to the same worker pool, one
+    at a time per connection — so a slow or stalled client costs
+    buffer memory, never a worker or the accept path.
+
+    Both transports serve a frame through one request core, which
+    writes each reply as soon as it is computed.  Inside a frame,
+    every maximal run of mutations on one dataset — a lone mutation
+    request is a run of one — is one {!Registry.mutate_batch}: one
+    lock, one WAL window, one k-core repair.  The transports differ
+    only in socket I/O and admission.
     The loop also answers HTTP [GET /metrics] (Prometheus text) and
     [GET /healthz]: on the dedicated [http] port, and on the [tcp]
     port for any connection whose first line is an HTTP request line.
@@ -25,9 +33,11 @@
     k-core or diameter request aborts mid-computation with
     [ERR timeout]; analyses without deadline checks still report the
     overrun after the fact.  Admission control bounds the job queue at
-    [queue_limit]: overflow connections get an [ERR busy] carrying a
-    [retry_after_ms] hint and are closed, and once the queue passes
-    [shed_watermark] analyses are served from cache only.
+    [queue_limit]: an overflowing Unix connection gets an [ERR busy]
+    carrying a [retry_after_ms] hint at the door and is closed, an
+    overflowing TCP request gets the same reply on its open
+    connection, and once the queue passes [shed_watermark] analyses
+    are served from cache only.
 
     Malformed input at any layer — unparsable or oversized request
     line, unknown dataset, unreadable, oversized, or malformed file —
@@ -42,7 +52,8 @@ type config = {
   compute_domains : int;  (** Domains handed to the analysis kernels. *)
   preload : string list;  (** Datasets loaded before accepting. *)
   queue_limit : int;
-  (** Max connections waiting for a worker before [ERR busy]. *)
+  (** Max jobs waiting for a worker before [ERR busy]; a job is a
+      Unix-socket connection or one TCP request. *)
   shed_watermark : int;
   (** Queue depth at which analyses become cache-only; <= 0 disables
       shedding. *)

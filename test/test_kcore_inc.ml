@@ -382,6 +382,36 @@ let test_grow_from_empty () =
   let s = HM.stats maint in
   checkb "no budget fallback" true (s.HM.budget_fallbacks = 0)
 
+let test_vertex_burst () =
+  (* A burst of vertex appends alone repairs in O(1), as one cascade
+     whose region is the appended vertices, even beside an empty
+     hyperedge (which sends every other burst to the re-peel).
+     ADDVERTEX is its one-op case. *)
+  let base = H.create ~n_vertices:4 [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [] ] in
+  let live = L.of_hypergraph base in
+  let maint = HM.create base in
+  let append names =
+    List.iter
+      (fun name ->
+        match L.apply live (W.Add_vertex { name }) with
+        | Ok _ -> ()
+        | Error m -> Alcotest.failf "append %s: %s" name m)
+      names;
+    L.to_hypergraph live
+  in
+  let after = append [ "x"; "y"; "z" ] in
+  checkb "burst of 3 is Cascade 3" true
+    (HM.apply_batch maint ~after ~ops:(List.init 3 (fun _ -> HM.Op_add_vertex))
+    = HM.Cascade 3);
+  assert_maintained "burst of 3" maint after;
+  let after = append [ "w" ] in
+  checkb "ADDVERTEX is Cascade 1" true (HM.add_vertex maint ~after = HM.Cascade 1);
+  assert_maintained "one vertex" maint after;
+  let s = HM.stats maint in
+  check "one cascade per burst" 2 s.HM.cascade_repairs;
+  check "region: the appended vertices" 4 s.HM.repair_visited;
+  check "no re-peel" 0 s.HM.full_repeels
+
 let () =
   Alcotest.run "hp_kcore_inc"
     [
@@ -405,5 +435,7 @@ let () =
             test_zero_floor_bail;
           Alcotest.test_case "isolating delete" `Quick test_isolating_delete;
           Alcotest.test_case "grow from empty" `Quick test_grow_from_empty;
+          Alcotest.test_case "vertex burst is one O(1) cascade" `Quick
+            test_vertex_burst;
         ] );
     ]

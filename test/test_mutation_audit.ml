@@ -182,6 +182,13 @@ let test_duplicate_vertex_name_rejected () =
   | Ok _ -> Alcotest.fail "empty vertex name accepted"
   | Error _ -> Alcotest.fail "unexpected error class");
   check "no epoch consumed" epoch0 entry.Registry.state.Registry.epoch;
+  (match
+     Registry.mutate_batch reg digest
+       [ W.Add_vertex { name = "a" }; W.Del_edge { edge = 99 } ]
+   with
+  | Ok r -> check "a burst of rejects applies nothing" 0 r.Registry.batch_applied
+  | Error _ -> Alcotest.fail "burst of rejects: unexpected error class");
+  checkb "rejected ops open no log" false (Sys.file_exists (W.sibling_path path));
   ignore (mutate_exn reg digest (W.Add_vertex { name = "fresh" }));
   (match Registry.mutate reg digest (W.Add_vertex { name = "fresh" }) with
   | Error (`Invalid _) -> ()

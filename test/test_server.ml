@@ -951,12 +951,15 @@ let test_mutation_durability () =
         (Client.request c
            (P.Add_vertex { dataset = "feedfacedeadbeef"; name = "x" }));
       let m = expect_ok "metrics" (Client.request c (P.Metrics P.Table)) in
-      checkb "appends counted" true
-        (int_of_string (List.assoc "wal_records_appended" m) >= 2);
-      checkb "mutations counted" true
-        (int_of_string (List.assoc "mutations_total" m) >= 2);
-      checkb "rejects counted" true
-        (int_of_string (List.assoc "mutation_rejects" m) >= 2);
+      (* Each lone mutation moves the mutation, WAL and repair counters
+         once, and none of them is a batch item. *)
+      let count k = Option.fold ~none:0 ~some:int_of_string (List.assoc_opt k m) in
+      check "appends counted" 2 (count "wal_records_appended");
+      check "mutations counted" 2 (count "mutations_total");
+      check "rejects counted" 2 (count "mutation_rejects");
+      check "one repair per mutation" 2
+        (count "kcore_cascade_repairs" + count "kcore_full_repeels");
+      check "no batch items" 0 (count "batch_items");
       checks "per-dataset epoch gauge" "2" (List.assoc (epoch_key ()) m);
       let prom =
         expect_ok "metrics prom" (Client.request c (P.Metrics P.Prometheus))

@@ -19,7 +19,8 @@ let write_file path content =
 
 let tiny_hg = "# test\nc1: a b c\nc2: b c d\nc3: c d e\n"
 
-let with_tcp_server ?(workers = 2) ?(queue_limit = 256) ?(http = false) f =
+let with_tcp_server ?(workers = 2) ?(queue_limit = 256) ?(cache = 128)
+    ?(http = false) f =
   let dir = Filename.temp_dir "hgd" "tcp" in
   let socket_path = Filename.concat dir "hgd.sock" in
   let config =
@@ -27,6 +28,7 @@ let with_tcp_server ?(workers = 2) ?(queue_limit = 256) ?(http = false) f =
       (Server.default_config ~socket_path) with
       workers;
       queue_limit;
+      cache_capacity = cache;
       tcp = Some ("127.0.0.1", 0);
       http = (if http then Some ("127.0.0.1", 0) else None);
     }
@@ -436,16 +438,22 @@ let test_select_backend () =
 (* ---------- batched mutations: one repair per burst ---------- *)
 
 (* A BATCH whose items include a run of mutations on one dataset is
-   applied through a single Registry.mutate_batch: per-item replies
-   must match what the per-op path would have produced (sequential
-   epochs, assigned ids, counts after each op), an invalid item is
-   rejected without poisoning the rest of the burst, and the dataset
-   keeps serving correct analyses afterwards. *)
-let test_batched_mutations () =
+   applied through a single Registry.mutate_batch, on either
+   transport: per-item replies must match what each op alone would
+   have been answered (sequential epochs, assigned ids, counts after
+   each op), an invalid item is rejected without poisoning the rest of
+   the burst, and the dataset keeps serving correct analyses
+   afterwards. *)
+let test_batched_mutations transport () =
   with_tcp_server (fun ~dir ~socket_path ~t:_ ~port ->
-      let digest = load_dataset ~via:(tcp_addr port) dir in
+      let via =
+        match transport with
+        | `Tcp -> tcp_addr port
+        | `Unix -> Client.Unix_path socket_path
+      in
+      let digest = load_dataset ~via dir in
       let items =
-        Client.with_connection_addr (tcp_addr port) (fun c ->
+        Client.with_connection_addr via (fun c ->
             Client.batch c
               [
                 P.Add_vertex { dataset = digest; name = "z1" };
@@ -484,8 +492,8 @@ let test_batched_mutations () =
       | _ -> Alcotest.fail "item2: expected ERR bad-request");
       checks "item3 epoch" "3" (kv 3 "epoch");
       checkb "item4 pong" true (List.mem_assoc "pong" (ok 4));
-      (* The singleton run after PING rides the per-op path and sees
-         the batch's state. *)
+      (* The lone ADDVERTEX after PING is a run of its own and sees the
+         first run's state. *)
       checks "item5 epoch" "4" (kv 5 "epoch");
       checks "item5 assigned" "6" (kv 5 "assigned");
       checks "item5 vertices" "7" (kv 5 "vertices");
@@ -508,8 +516,8 @@ let test_batched_mutations () =
         int_of_string (List.assoc "kcore_cascade_repairs" info)
         + int_of_string (List.assoc "kcore_full_repeels" info)
       in
-      (* 4 applied ops, but the 3-op run cost one repair: at most 2
-         repairs total (the run's plus the singleton's). *)
+      (* 4 applied ops, but the first run's 3 cost one repair: at most
+         2 repairs total (that run's plus the lone ADDVERTEX's). *)
       checkb "burst amortized into one repair" true (repairs <= 2 && repairs >= 1))
 
 (* ---------- SHUTDOWN over TCP stops the daemon cleanly ---------- *)
@@ -545,6 +553,210 @@ let test_tcp_shutdown () =
       Alcotest.fail "TCP port should be closed after shutdown"
     | Error _ -> ()
 
+(* ---------- one BATCH behaviour on both transports ---------- *)
+
+(* Send [pieces] with [pause] seconds between them, end the write
+   side, and collect every reply byte until the server closes. *)
+let exchange ?(pause = 0.0) fd pieces =
+  List.iteri
+    (fun i piece ->
+      if i > 0 then Unix.sleepf pause;
+      ignore (Unix.write_substring fd piece 0 (String.length piece)))
+    pieces;
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  recv_all fd
+
+(* [f] over a fresh Unix connection, then over a fresh TCP one. *)
+let over_both ~socket_path ~port f =
+  let on fd = Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd) in
+  let via_unix = on (raw_unix socket_path) in
+  (via_unix, on (raw_tcp port))
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* Both transports frame a BATCH whole before answering item 0, so
+   the cases where the run never completes, or an item is refused,
+   read the same bytes on either.  The cache is off, so every KCORE
+   reply is byte-identical. *)
+let test_batch_same_bytes () =
+  with_tcp_server ~cache:0 (fun ~dir ~socket_path ~t:_ ~port ->
+      let digest = load_dataset ~via:(tcp_addr port) dir in
+      let kcore = "KCORE " ^ digest in
+      let oversized =
+        P.encode_reply
+          (P.err P.Bad_request
+             (Printf.sprintf "request line exceeds %d bytes" P.max_line_bytes))
+      in
+      let items r =
+        List.length
+          (List.filter (starts_with ~prefix:"ITEM ") (String.split_on_char '\n' r))
+      in
+      let cases =
+        [
+          ( "oversized item line",
+            "BATCH 2\n" ^ kcore ^ "\n" ^ String.make (P.max_line_bytes + 1) 'x',
+            fun r -> checks "one plain ERR, then close" oversized r );
+          ( "EOF after 1 of 3 items",
+            "BATCH 3\n" ^ kcore ^ "\n",
+            fun r -> checks "no item answered" "" r );
+          ( "unterminated last item",
+            "BATCH 2\n" ^ kcore ^ "\n" ^ kcore,
+            fun r -> checks "no item answered" "" r );
+          ( "SHUTDOWN and nested BATCH items",
+            "BATCH 3\nSHUTDOWN\nBATCH 2\n" ^ kcore ^ "\n",
+            fun r ->
+              checki "three items" 3 (items r);
+              checkb "refusals first" true
+                (starts_with ~prefix:"ITEM 0\nERR bad-request SHUTDOWN" r) );
+        ]
+      in
+      List.iter
+        (fun (name, input, expect) ->
+          let via_unix, via_tcp =
+            over_both ~socket_path ~port (fun fd -> exchange fd [ input ])
+          in
+          checks (name ^ ": same bytes on unix and tcp") via_unix via_tcp;
+          expect via_unix)
+        cases;
+      ignore
+        (expect_ok "daemon still serving"
+           (Client.with_connection ~socket_path (fun c -> Client.request c P.Ping))))
+
+(* ---------- framer fuzz: a split stream frames like the whole one ---------- *)
+
+(* Requests whose replies do not move between runs (no clock, no
+   mutation, no cache with the cache off), malformed lines included. *)
+let fuzz_stream digest =
+  let open QCheck.Gen in
+  let request =
+    oneofl
+      [
+        "KCORE " ^ digest;
+        "KCORE " ^ digest ^ " 2";
+        "STATS " ^ digest;
+        "COVER " ^ digest ^ " degree 2";
+        "STORAGE " ^ digest;
+        "POWERLAW " ^ digest;
+        "DATASETS";
+        "KCORE feedface";
+        "FROB x";
+        "BATCH 0";
+      ]
+  in
+  let item = frequency [ (8, request); (1, oneofl [ "SHUTDOWN"; "BATCH 2"; "" ]) ] in
+  let line g = map2 ( ^ ) g (oneofl [ "\n"; "\r\n" ]) in
+  let batch =
+    int_range 1 4 >>= fun n ->
+    map2
+      (fun header items -> String.concat "" (header :: items))
+      (line (return (Printf.sprintf "BATCH %d" n)))
+      (list_repeat n (line item))
+  in
+  map2
+    (fun first rest -> String.concat "" (first :: rest))
+    (line request)
+    (list_size (int_range 0 7)
+       (frequency [ (4, line request); (1, line (return "")); (3, batch) ]))
+
+let test_framer_fuzz () =
+  with_tcp_server ~cache:0 (fun ~dir ~socket_path ~t:_ ~port ->
+      let digest = load_dataset ~via:(tcp_addr port) dir in
+      let cut stream offsets =
+        let len = String.length stream in
+        let offsets = List.sort_uniq compare (List.map (fun o -> o mod (len + 1)) offsets) in
+        let pieces, last =
+          List.fold_left
+            (fun (acc, from) o -> (String.sub stream from (o - from) :: acc, o))
+            ([], 0) offsets
+        in
+        List.rev (String.sub stream last (len - last) :: pieces)
+      in
+      let prop (stream, offsets) =
+        let whole_unix, whole_tcp =
+          over_both ~socket_path ~port (fun fd -> exchange fd [ stream ])
+        in
+        let split_unix, split_tcp =
+          over_both ~socket_path ~port (fun fd ->
+              exchange ~pause:0.002 fd (cut stream offsets))
+        in
+        whole_unix <> "" && whole_unix = whole_tcp && split_unix = whole_unix
+        && split_tcp = whole_tcp
+      in
+      let arb =
+        QCheck.make
+          ~print:(fun (s, offsets) ->
+            Printf.sprintf "%S cut at %s" s
+              (String.concat "," (List.map string_of_int offsets)))
+          QCheck.Gen.(pair (fuzz_stream digest) (list_size (int_range 1 6) nat))
+      in
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 2004 |])
+        (QCheck.Test.make ~name:"split stream = whole stream" ~count:30 arb prop))
+
+(* ---------- start/stop race: a frame dispatched early is answered ---------- *)
+
+(* A client retries connect + PING on one fixed port while the daemon
+   starts and stops under it 50 times, so frames land on the loop the
+   moment it is created.  Each must be answered (or closed by a
+   stopping daemon) within 1 s; none may be left in flight. *)
+let test_start_stop_race () =
+  let port =
+    match Netaddr.bind_listen ~host:"127.0.0.1" ~port:0 ~backlog:1 with
+    | Ok (fd, port) ->
+      Unix.close fd;
+      port
+    | Error msg -> Alcotest.failf "probe bind: %s" msg
+  in
+  let dir = Filename.temp_dir "hgd" "race" in
+  let socket_path = Filename.concat dir "hgd.sock" in
+  let config =
+    {
+      (Server.default_config ~socket_path) with
+      workers = 2;
+      tcp = Some ("127.0.0.1", port);
+    }
+  in
+  let stop = Atomic.make false in
+  let answered = Atomic.make 0 and hung = Atomic.make 0 in
+  let ping fd =
+    Unix.setsockopt_float fd SO_RCVTIMEO 1.0;
+    ignore (Unix.write_substring fd "PING\n" 0 5);
+    let b = Bytes.create 64 in
+    match Unix.read fd b 0 64 with
+    | n when n > 0 && Bytes.sub_string b 0 (min n 2) = "OK" -> Atomic.incr answered
+    | _ -> ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> Atomic.incr hung
+  in
+  let client () =
+    while not (Atomic.get stop) do
+      match Netaddr.connect ~host:"127.0.0.1" ~port with
+      | Error _ -> Unix.sleepf 0.0005
+      | Ok fd ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> try ping fd with Unix.Unix_error _ -> ())
+    done
+  in
+  let level = Hp_util.Log.current_level () in
+  Hp_util.Log.set_level Hp_util.Log.Error;
+  let d = Domain.spawn client in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join d;
+      Hp_util.Log.set_level level)
+    (fun () ->
+      for cycle = 1 to 50 do
+        match Server.start config with
+        | Error msg -> Alcotest.failf "cycle %d: start failed: %s" cycle msg
+        | Ok t ->
+          Unix.sleepf 0.005;
+          Server.stop t
+      done);
+  checki "PINGs left unanswered past 1 s" 0 (Atomic.get hung);
+  checkb "PINGs answered" true (Atomic.get answered > 0)
+
 let () =
   Alcotest.run "hp_tcp"
     [
@@ -558,8 +770,16 @@ let () =
           Alcotest.test_case "stalled client blocks nobody" `Quick
             test_stalled_client_no_blocking;
           Alcotest.test_case "batched mutations, one repair per burst" `Quick
-            test_batched_mutations;
+            (test_batched_mutations `Tcp);
           Alcotest.test_case "shutdown verb over tcp" `Quick test_tcp_shutdown;
+          Alcotest.test_case "unix batch: one repair per burst" `Quick
+            (test_batched_mutations `Unix);
+          Alcotest.test_case "BATCH framing, same bytes" `Quick
+            test_batch_same_bytes;
+          Alcotest.test_case "framer fuzz: split = whole" `Quick
+            test_framer_fuzz;
+          Alcotest.test_case "start/stop race, pings answered" `Quick
+            test_start_stop_race;
         ] );
       ( "http",
         [ Alcotest.test_case "metrics and healthz" `Quick test_http_endpoints ] );

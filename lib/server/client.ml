@@ -1,4 +1,4 @@
-type t = { fd : Unix.file_descr; mutable pending : string }
+type t = { fd : Unix.file_descr; input : Framer.t }
 
 type addr = Unix_path of string | Tcp of { host : string; port : int }
 
@@ -9,11 +9,11 @@ let addr_to_string = function
 let connect_addr addr =
   match addr with
   | Tcp { host; port } ->
-    Result.map (fun fd -> { fd; pending = "" }) (Netaddr.connect ~host ~port)
+    Result.map (fun fd -> { fd; input = Framer.create () }) (Netaddr.connect ~host ~port)
   | Unix_path socket_path -> (
     let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
-    | () -> Ok { fd; pending = "" }
+    | () -> Ok { fd; input = Framer.create () }
     | exception Unix.Unix_error (err, _, _) ->
       (try Unix.close fd with _ -> ());
       let detail =
@@ -42,68 +42,32 @@ let set_timeout t timeout =
   end
 
 let rec read_line t =
-  match String.index_opt t.pending '\n' with
-  | Some i ->
-    let line = String.sub t.pending 0 i in
-    t.pending <- String.sub t.pending (i + 1) (String.length t.pending - i - 1);
-    Ok line
-  | None ->
-    if String.length t.pending > Protocol.max_line_bytes then
-      Error
-        (Printf.sprintf "reply line exceeds %d bytes" Protocol.max_line_bytes)
-    else begin
-      let buf = Bytes.create 4096 in
-      match Unix.read t.fd buf 0 (Bytes.length buf) with
-      | 0 ->
-        if t.pending = "" then Error "connection closed by server"
-        else begin
-          (* EOF with an unterminated tail buffered: the server (or the
-             path to it) died mid-reply.  The old behaviour silently
-             dropped those bytes; surface them as a distinct error so
-             callers can tell a torn reply from a clean close.  The
-             "truncated reply" prefix is part of the contract. *)
-          let n = String.length t.pending in
-          t.pending <- "";
-          Error
-            (Printf.sprintf
-               "truncated reply: connection closed with %d unterminated bytes" n)
-        end
-      | n ->
-        t.pending <- t.pending ^ Bytes.sub_string buf 0 n;
-        read_line t
-      | exception Unix.Unix_error (EINTR, _, _) -> read_line t
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        Error "timed out waiting for reply"
-      | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
-    end
-
-(* Cumulative stall budget for a request write: past this, a wedged
-   server is reported instead of blocking forever. *)
-let write_stall_budget = 30.0
-
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let rec go off stalled =
-    if off < Bytes.length b then begin
-      match Unix.write fd b off (Bytes.length b - off) with
-      | n -> go (off + n) 0.0
-      | exception Unix.Unix_error (EINTR, _, _) -> go off stalled
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        (* SO_SNDTIMEO expiry or a nonblocking fd: EAGAIN means the
-           socket buffer is full, not that the write failed — wait for
-           writability and resume, up to a stall budget. *)
-        if stalled >= write_stall_budget then
-          raise
-            (Unix.Unix_error (Unix.EAGAIN, "write", "request stalled past budget"))
-        else begin
-          (match Unix.select [] [ fd ] [] 0.25 with
-          | _ -> ()
-          | exception Unix.Unix_error (EINTR, _, _) -> ());
-          go off (stalled +. 0.25)
-        end
-    end
-  in
-  go 0 0.0
+  match Framer.line t.input with
+  | `Line line -> Ok line
+  | `End -> Error "connection closed by server"
+  | `Tail tail ->
+    (* EOF with an unterminated tail buffered: the server (or the path
+       to it) died mid-reply.  Surface it as a distinct error so callers
+       can tell a torn reply from a clean close.  The "truncated reply"
+       prefix is part of the contract. *)
+    Error
+      (Printf.sprintf "truncated reply: connection closed with %d unterminated bytes"
+         (String.length tail))
+  | `Oversized ->
+    Error (Printf.sprintf "reply line exceeds %d bytes" Protocol.max_line_bytes)
+  | `Await -> (
+    let buf = Bytes.create 4096 in
+    match Unix.read t.fd buf 0 (Bytes.length buf) with
+    | 0 ->
+      Framer.feed_eof t.input;
+      read_line t
+    | n ->
+      Framer.feed t.input buf n;
+      read_line t
+    | exception Unix.Unix_error (EINTR, _, _) -> read_line t
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      Error "timed out waiting for reply"
+    | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err))
 
 let read_reply_after t header =
   let ( let* ) = Result.bind in
@@ -128,7 +92,7 @@ let read_reply t =
   | Ok header -> read_reply_after t header
 
 let request_line t line =
-  match write_all t.fd (line ^ "\n") with
+  match Netaddr.write_all t.fd (line ^ "\n") with
   | () -> read_reply t
   | exception Unix.Unix_error (err, _, _) -> (
     (* An admission-rejected connection is answered (ERR busy) and
@@ -143,7 +107,7 @@ let request t req = request_line t (Protocol.request_line req)
 (* Ship bytes verbatim with no terminator and read nothing back: the
    partial-frame tests and the load generator's stalled clients need
    to leave half a request sitting in the server's line buffer. *)
-let send_raw t s = write_all t.fd s
+let send_raw t s = Netaddr.write_all t.fd s
 
 (* ---------- pipelined batches ---------- *)
 
@@ -169,7 +133,7 @@ let batch_lines t lines =
         Buffer.add_char buf '\n')
       lines;
     let* () =
-      match write_all t.fd (Buffer.contents buf) with
+      match Netaddr.write_all t.fd (Buffer.contents buf) with
       | () -> Ok ()
       | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
     in

@@ -3,38 +3,29 @@ module Log = Hp_util.Log
 
 external fd_int : Unix.file_descr -> int = "%identity"
 
-type payload =
-  | Single of string
-  | Batch of { header : string; n : int; items : string list }
-
 type verdict =
   | Dispatched
   | Reply_now of string
   | Reply_close of string
   | Close_now
 
-type mode = Proto | Http_mode
+type listener = [ `Protocol | `Http | `Handoff ]
+
+(* A protocol-port connection is [Sniffing] until its first line shows
+   whether it speaks the protocol or HTTP. *)
+type mode = Sniffing | Proto | Http_mode
 
 type conn = {
   fd : Unix.file_descr;
   peer : string;
   mutable mode : mode;
-  mutable sniffed : bool;
-  (* Read side: [pending.[pos..]] is unconsumed input.  Appends keep
-     [pos] valid; extraction compacts when it runs out of newlines, so
-     consumption is amortized O(bytes). *)
-  mutable pending : string;
-  mutable pos : int;
-  (* A BATCH header waiting for its items: header line, item count,
-     items collected so far (count, reversed list). *)
-  mutable batch : (string * int * int * string list) option;
+  input : Framer.t;
   mutable http_lines : string list;  (* reversed request head *)
   (* Write side: whole reply strings plus an offset into the head. *)
   outq : string Queue.t;
   mutable out_off : int;
   mutable out_bytes : int;
   mutable in_flight : bool;
-  mutable eof : bool;
   mutable read_paused : bool;
   mutable closing : bool;  (* flush outbox, then close *)
   mutable closed : bool;
@@ -42,12 +33,19 @@ type conn = {
   mutable cur_mask : int;
 }
 
+type handlers = {
+  on_request : conn -> [ `Frame of Framer.payload | `Oversized ] -> verdict;
+  on_http : peer:string -> string list -> string;
+  on_handoff : Unix.file_descr -> [ `Taken | `Refused of string ];
+}
+
 type t = {
   poller : Poller.t;
   metrics : Metrics.t;
-  on_request : t -> conn -> payload -> verdict;
-  on_http : peer:string -> string list -> string;
-  listeners : (Unix.file_descr * [ `Protocol | `Http ]) list;
+  (* Set by [start], before the loop domain exists; nothing calls them
+     earlier, since nothing is polled before the domain runs. *)
+  mutable handlers : handlers;
+  listeners : (Unix.file_descr * listener) list;
   conns : (int, conn) Hashtbl.t;
   (* Mirror of [Hashtbl.length conns], readable without [mu]: the
      /metrics gauge is rendered from inside the HTTP handler, which
@@ -76,12 +74,13 @@ let peer_string fd =
   | Unix.ADDR_UNIX s -> if s = "" then "unix" else s
   | exception _ -> "?"
 
-let buffered c = String.length c.pending - c.pos
+let buffered c = Framer.buffered c.input
 
 (* ---------- poller interest ---------- *)
 
 let want_mask c =
-  (if (not c.eof) && (not c.read_paused) && not c.closing then Poller.read else 0)
+  (if (not (Framer.eof c.input)) && (not c.read_paused) && not c.closing then Poller.read
+   else 0)
   lor if c.out_bytes > 0 then Poller.write else 0
 
 let update_interest t c =
@@ -159,38 +158,25 @@ let enqueue t c s =
 
 (* ---------- framing ---------- *)
 
-let strip_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+let is_http_request line =
+  match Http.parse_request_line line with
+  | Some r -> (
+    match r.Http.meth with
+    | "GET" | "HEAD" | "POST" | "PUT" | "DELETE" | "OPTIONS" -> true
+    | _ -> false)
+  | None -> false
 
-let extract_line c =
-  match String.index_from_opt c.pending c.pos '\n' with
-  | Some i ->
-    if i - c.pos > P.max_line_bytes then `Oversized
-    else begin
-      let line = String.sub c.pending c.pos (i - c.pos) in
-      c.pos <- i + 1;
-      `Line (strip_cr line)
-    end
-  | None ->
-    if c.pos > 0 then begin
-      c.pending <- String.sub c.pending c.pos (buffered c);
-      c.pos <- 0
-    end;
-    if String.length c.pending > P.max_line_bytes then `Oversized else `None
+let close_when_flushed t c =
+  c.closing <- true;
+  flush_conn t c
 
-let oversized_reply =
-  P.encode_reply
-    (P.err P.Bad_request
-       (Printf.sprintf "request line exceeds %d bytes" P.max_line_bytes))
+let reply_close t c s =
+  enqueue t c s;
+  close_when_flushed t c
 
-let is_http_method = function
-  | "GET" | "HEAD" | "POST" | "PUT" | "DELETE" | "OPTIONS" -> true
-  | _ -> false
-
-let dispatch t c payload =
+let dispatch t c request =
   c.in_flight <- true;
-  match t.on_request t c payload with
+  match t.handlers.on_request c request with
   | Dispatched -> ()
   | Reply_now s ->
     c.in_flight <- false;
@@ -198,110 +184,72 @@ let dispatch t c payload =
     flush_conn t c
   | Reply_close s ->
     c.in_flight <- false;
-    enqueue t c s;
-    c.closing <- true;
-    flush_conn t c
+    reply_close t c s
   | Close_now ->
     c.in_flight <- false;
     close_conn t c ~abnormal:false
-
-let proto_line t c line =
-  match c.batch with
-  | Some (header, n, got, acc) ->
-    let acc = line :: acc in
-    let got = got + 1 in
-    if got >= n then begin
-      c.batch <- None;
-      dispatch t c (Batch { header; n; items = List.rev acc })
-    end
-    else c.batch <- Some (header, n, got, acc)
-  | None ->
-    if String.trim line = "" then ()
-    else (
-      match P.parse_request line with
-      | Ok (P.Batch n) -> c.batch <- Some (line, n, 0, [])
-      | Ok _ | Error _ -> dispatch t c (Single line))
 
 let serve_http t c =
   let lines = List.rev c.http_lines in
   c.http_lines <- [];
   Metrics.incr t.metrics "http_requests";
   let resp =
-    try t.on_http ~peer:c.peer lines
+    try t.handlers.on_http ~peer:c.peer lines
     with e ->
       Log.warn ~comp:"event_loop"
         ~fields:[ ("peer", c.peer); ("exn", Printexc.to_string e) ]
         "http handler exception";
       Http.response ~status:500 "internal error\n"
   in
-  enqueue t c resp;
-  c.closing <- true;
-  flush_conn t c
+  reply_close t c resp
 
 let http_line t c line =
   if String.trim line = "" then begin
     if c.http_lines <> [] then serve_http t c
   end
-  else if List.length c.http_lines > 100 then begin
-    enqueue t c (Http.response ~status:400 "too many header lines\n");
-    c.closing <- true;
-    flush_conn t c
-  end
+  else if List.length c.http_lines > 100 then
+    reply_close t c (Http.response ~status:400 "too many header lines\n")
   else c.http_lines <- line :: c.http_lines
 
-(* Extract and dispatch as many frames as the in-flight limit allows;
-   then handle EOF leftovers and read-pause bookkeeping. *)
+(* Dispatch as many frames as the in-flight limit allows.  The framer
+   only answers [`Await] before EOF, which is when a paused read may
+   resume; at EOF it gives the last frame or line, then [`End]. *)
 let rec process_frames t c =
-  if (not c.closed) && (not c.closing) && not c.in_flight then begin
-    match extract_line c with
-    | `Oversized ->
-      Metrics.incr t.metrics "oversized_requests";
-      if c.mode = Proto then enqueue t c oversized_reply
-      else enqueue t c (Http.response ~status:400 "request too large\n");
-      c.closing <- true;
-      flush_conn t c
-    | `None -> at_input_edge t c
-    | `Line line ->
-      (match c.mode with
-      | Http_mode -> http_line t c line
-      | Proto ->
-        if not c.sniffed then begin
-          c.sniffed <- true;
-          match Http.parse_request_line line with
-          | Some r when is_http_method r.Http.meth ->
-            c.mode <- Http_mode;
-            http_line t c line
-          | _ -> proto_line t c line
-        end
-        else proto_line t c line);
-      process_frames t c
-  end
+  if (not c.closed) && (not c.closing) && not c.in_flight then
+    match c.mode with
+    | Sniffing -> (
+      match Framer.peek_line c.input with
+      | `Await -> await_input t c
+      | `Line l when is_http_request l ->
+        c.mode <- Http_mode;
+        process_frames t c
+      | _ ->
+        c.mode <- Proto;
+        process_frames t c)
+    | Proto -> (
+      match Framer.frame c.input with
+      | `Frame p ->
+        dispatch t c (`Frame p);
+        process_frames t c
+      | `Oversized -> dispatch t c `Oversized
+      | `Await -> await_input t c
+      | `End -> close_when_flushed t c)
+    | Http_mode -> (
+      match Framer.line c.input with
+      | `Line l ->
+        http_line t c l;
+        process_frames t c
+      | `Oversized ->
+        Metrics.incr t.metrics "oversized_requests";
+        reply_close t c (Http.response ~status:400 "request too large\n")
+      | `Await -> await_input t c
+      | `Tail _ | `End ->
+        (* A head its client ended by shutting down the write side,
+           not by a blank line, is answered anyway. *)
+        if c.http_lines <> [] then serve_http t c else close_when_flushed t c)
 
-and at_input_edge t c =
-  if c.eof then begin
-    (* Mirror the blocking path's EOF contract: a final unterminated
-       protocol line is still served (then the connection closes); a
-       half-collected batch or HTTP head without terminator is not
-       worth guessing about — except a complete HTTP head whose client
-       shut down the write side, which is answered anyway. *)
-    if c.mode = Proto && c.batch = None && buffered c > 0 then begin
-      let line = strip_cr (String.sub c.pending c.pos (buffered c)) in
-      c.pending <- "";
-      c.pos <- 0;
-      proto_line t c line;
-      if not c.in_flight then begin
-        c.closing <- true;
-        flush_conn t c
-      end
-    end
-    else if c.mode = Http_mode && c.http_lines <> [] && not c.in_flight then
-      serve_http t c
-    else begin
-      c.closing <- true;
-      flush_conn t c
-    end
-  end
-  else if c.read_paused && buffered c < max_buffered then begin
+and await_input t c =
+  if c.read_paused && buffered c < max_buffered then begin
     c.read_paused <- false;
     update_interest t c
   end
@@ -309,7 +257,7 @@ and at_input_edge t c =
 (* ---------- read path ---------- *)
 
 let rec read_input t c budget =
-  if (not c.closed) && not c.eof then begin
+  if (not c.closed) && not (Framer.eof c.input) then begin
     if buffered c > max_buffered then begin
       c.read_paused <- true;
       update_interest t c
@@ -318,14 +266,11 @@ let rec read_input t c budget =
       let buf = Bytes.create 16384 in
       match Unix.read c.fd buf 0 (Bytes.length buf) with
       | 0 ->
-        c.eof <- true;
+        Framer.feed_eof c.input;
         update_interest t c;
-        process_frames t c;
-        (* EOF with nothing in flight and nothing owed: plain close. *)
-        if (not c.closed) && (not c.in_flight) && c.out_bytes = 0 && c.closing
-        then close_conn t c ~abnormal:false
+        process_frames t c
       | n ->
-        c.pending <- c.pending ^ Bytes.sub_string buf 0 n;
+        Framer.feed c.input buf n;
         process_frames t c;
         if budget > 1 then read_input t c (budget - 1)
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
@@ -337,24 +282,20 @@ let rec read_input t c budget =
 
 (* ---------- accept path ---------- *)
 
-let add_conn t fd kind =
+let add_conn t fd mode =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd TCP_NODELAY true with _ -> ());
   let c =
     {
       fd;
       peer = peer_string fd;
-      mode = (match kind with `Protocol -> Proto | `Http -> Http_mode);
-      sniffed = (kind = `Http);
-      pending = "";
-      pos = 0;
-      batch = None;
+      mode;
+      input = Framer.create ();
       http_lines = [];
       outq = Queue.create ();
       out_off = 0;
       out_bytes = 0;
       in_flight = false;
-      eof = false;
       read_paused = false;
       closing = false;
       closed = false;
@@ -364,26 +305,36 @@ let add_conn t fd kind =
   in
   Hashtbl.replace t.conns (fd_int fd) c;
   Atomic.incr t.conn_count;
-  update_interest t c
+  update_interest t c;
+  c
+
+(* A hand-off connection is served elsewhere with blocking I/O; where
+   [accept] passes on the listener's O_NONBLOCK (not on Linux), it
+   must be cleared.  A refusal is written and closed from the
+   outbox, like any loop connection's last reply. *)
+let handoff t fd =
+  Unix.clear_nonblock fd;
+  match t.handlers.on_handoff fd with
+  | `Taken -> ()
+  | `Refused reply -> reply_close t (add_conn t fd Proto) reply
 
 let rec accept_all t lfd kind =
   match Unix.accept ~cloexec:true lfd with
   | fd, _ ->
-    if
-      Atomic.get t.quiescing || Atomic.get t.stopping
-      || Hashtbl.length t.conns >= t.max_connections
-    then begin
-      if Hashtbl.length t.conns >= t.max_connections then
-        Metrics.incr t.metrics "conn_limit_rejections";
-      try Unix.close fd with _ -> ()
-    end
-    else begin
-      Metrics.incr t.metrics
-        (match kind with
-        | `Protocol -> "tcp_connections"
-        | `Http -> "http_connections");
-      add_conn t fd kind
-    end;
+    (if Atomic.get t.quiescing || Atomic.get t.stopping then (
+       try Unix.close fd with _ -> ())
+     else
+       match kind with
+       | `Handoff -> handoff t fd
+       | `Protocol | `Http when Hashtbl.length t.conns >= t.max_connections -> (
+         Metrics.incr t.metrics "conn_limit_rejections";
+         try Unix.close fd with _ -> ())
+       | `Protocol ->
+         Metrics.incr t.metrics "tcp_connections";
+         ignore (add_conn t fd Sniffing)
+       | `Http ->
+         Metrics.incr t.metrics "http_connections";
+         ignore (add_conn t fd Http_mode));
     accept_all t lfd kind
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (EINTR, _, _) -> accept_all t lfd kind
@@ -469,7 +420,7 @@ let run t =
 (* ---------- public API ---------- *)
 
 let create ?backend ?(max_connections = 1024) ?(max_outbox_bytes = 16 lsl 20)
-    ~metrics ~on_request ~on_http ~listeners () =
+    ~metrics ~listeners () =
   let poller = Poller.create ?backend () in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
@@ -480,35 +431,40 @@ let create ?backend ?(max_connections = 1024) ?(max_outbox_bytes = 16 lsl 20)
       Unix.set_nonblock fd;
       Poller.add poller fd Poller.read)
     listeners;
-  let t =
-    {
-      poller;
-      metrics;
-      on_request;
-      on_http;
-      listeners;
-      conns = Hashtbl.create 64;
-      conn_count = Atomic.make 0;
-      mu = Mutex.create ();
-      wake_r;
-      wake_w;
-      max_connections;
-      max_outbox_bytes;
-      quiescing = Atomic.make false;
-      stopping = Atomic.make false;
-      listeners_closed = false;
-      domain = None;
-    }
-  in
+  let unstarted _ = invalid_arg "Event_loop: not started" in
+  {
+    poller;
+    metrics;
+    handlers =
+        {
+        on_request = unstarted;
+        on_http = (fun ~peer:_ -> unstarted);
+        on_handoff = unstarted;
+      };
+    listeners;
+    conns = Hashtbl.create 64;
+    conn_count = Atomic.make 0;
+    mu = Mutex.create ();
+    wake_r;
+    wake_w;
+    max_connections;
+    max_outbox_bytes;
+    quiescing = Atomic.make false;
+    stopping = Atomic.make false;
+    listeners_closed = false;
+    domain = None;
+  }
+
+let start t ~on_request ~on_http ~on_handoff =
+  t.handlers <- { on_request; on_http; on_handoff };
   t.domain <- Some (Domain.spawn (fun () -> run t));
   Log.info ~comp:"event_loop"
     ~fields:
       [
-        ("backend", Poller.backend poller);
-        ("listeners", string_of_int (List.length listeners));
+        ("backend", Poller.backend t.poller);
+        ("listeners", string_of_int (List.length t.listeners));
       ]
-    "event loop started";
-  t
+    "event loop started"
 
 let send t c s =
   locked t (fun () ->
@@ -521,10 +477,7 @@ let finish t c ~close =
   locked t (fun () ->
       if not c.closed then begin
         c.in_flight <- false;
-        if close then begin
-          c.closing <- true;
-          flush_conn t c
-        end
+        if close then close_when_flushed t c
         else begin
           process_frames t c;
           if not c.closed then update_interest t c

@@ -1,36 +1,35 @@
-(** Nonblocking TCP front end: one loop domain multiplexes every
-    socket with {!Poller} (epoll, or select as fallback), does the
-    line framing in user space, and hands fully-framed requests to the
-    worker pool.  Compute never runs on the loop; the loop never
-    blocks on a client.
+(** hgd's front door: one loop domain multiplexes every listener and
+    every TCP connection with {!Poller} (epoll, or select as
+    fallback).  Compute never runs on the loop; the loop never blocks
+    on a client.
 
-    Per-connection state is a read buffer (bytes that arrived but do
-    not yet form a complete frame) and a write outbox (reply bytes the
-    kernel has not accepted yet).  A frame is a request line, or — for
-    [BATCH n] — the header plus its [n] item lines.  At most one frame
+    Listeners come in three kinds.  A [`Handoff] listener (the Unix
+    socket) is only accepted here: each connection's fd is handed,
+    blocking, to [on_handoff], which serves it elsewhere (a worker
+    owns it until the client leaves) or refuses it — the refusal is
+    written from the loop's outbox and the connection closed.  A
+    [`Protocol] listener (TCP) keeps its connections on the loop: a
+    {!Framer} per connection turns the bytes into frames, each handed
+    to [on_request], which queues it for a worker.  At most one frame
     per connection is in flight at a time, which preserves the
     protocol's reply-ordering guarantee; further pipelined frames wait
     in the read buffer.  A connection whose read buffer outgrows the
-    frame cap is answered with an error and closed; one whose outbox
-    outgrows [max_outbox_bytes] is dropped as a slow consumer
+    line cap is refused through [on_request] and closed; one whose
+    outbox outgrows [max_outbox_bytes] is dropped as a slow consumer
     ([slow_client_overflows]).  Writes that fail with
     [EPIPE]/[ECONNRESET] close the connection and count
     [client_disconnects]; [EAGAIN] parks the bytes until the poller
     reports writability again, so a stalled reader costs memory, never
     a worker or the loop.
 
-    Listeners tagged [`Http] (and any protocol-port connection whose
-    first line is an HTTP request line) are served by the [on_http]
-    callback: one request per connection, response flushed, closed. *)
+    [`Http] listeners (and any protocol-port connection whose first
+    line is an HTTP request line) are served by [on_http]: one request
+    per connection, response flushed, closed. *)
 
 type t
 type conn
 
-(** What the loop parsed off the wire for the workers. *)
-type payload =
-  | Single of string  (** one request line, CR/LF stripped *)
-  | Batch of { header : string; n : int; items : string list }
-      (** a [BATCH n] header plus exactly [n] item lines *)
+type listener = [ `Protocol | `Http | `Handoff ]
 
 (** What to do with a framed request, decided synchronously by the
     server (admission control lives there).  [Dispatched] means a
@@ -42,24 +41,31 @@ type verdict =
   | Reply_close of string  (** write, then close *)
   | Close_now  (** close without a reply *)
 
-(** [create ~metrics ~on_request ~on_http ~listeners ()] takes
-    ownership of the (already bound and listening) [listeners] and
-    spawns the loop domain.  [on_request] is called on the loop domain
-    with the loop lock held — it must only enqueue work and return.
-    It is handed the loop itself, so work it dispatches can {!send}
-    and {!finish} even before [create] has returned.
-    [on_http] receives the raw request head (request line first) and
-    returns the full response bytes. *)
+(** [create ~metrics ~listeners ()] takes ownership of the (already
+    bound and listening) [listeners] and registers them; nothing is
+    accepted until {!start}. *)
 val create :
   ?backend:[ `Auto | `Select ] ->
   ?max_connections:int ->
   ?max_outbox_bytes:int ->
   metrics:Metrics.t ->
-  on_request:(t -> conn -> payload -> verdict) ->
-  on_http:(peer:string -> string list -> string) ->
-  listeners:(Unix.file_descr * [ `Protocol | `Http ]) list ->
+  listeners:(Unix.file_descr * listener) list ->
   unit ->
   t
+
+(** Spawn the loop domain.  The handlers run on it with the loop lock
+    held, so they must only queue work and return.  [on_request] gets
+    a protocol frame, or [`Oversized] for a line past
+    {!Protocol.max_line_bytes}.  [on_http] receives the raw request
+    head (request line first) and returns the full response bytes.
+    [on_handoff] gets each [`Handoff] connection's fd in blocking
+    mode; [`Taken] means it owns the fd now. *)
+val start :
+  t ->
+  on_request:(conn -> [ `Frame of Framer.payload | `Oversized ] -> verdict) ->
+  on_http:(peer:string -> string list -> string) ->
+  on_handoff:(Unix.file_descr -> [ `Taken | `Refused of string ]) ->
+  unit
 
 (** Queue reply bytes on a connection and flush as far as the kernel
     allows.  Callable from any thread.  Silently dropped if the
@@ -82,7 +88,7 @@ val stop : t -> unit
 
 val join : t -> unit
 
-(** Currently-open client connections (gauge). *)
+(** Currently-open connections the loop serves itself (gauge). *)
 val connections : t -> int
 
 (** Backend actually in use: ["epoll"] or ["select"]. *)

@@ -1,6 +1,6 @@
-(* Shared TCP plumbing for the server's listeners, the client, and the
-   load generator: HOST:PORT parsing, name resolution, and socket
-   setup, in one place so they agree on defaults. *)
+(* Shared socket plumbing for the server, the client, and the load
+   generator: HOST:PORT parsing, name resolution, socket setup and the
+   blocking write, in one place so they agree on defaults. *)
 
 let parse_hostport spec =
   let fail () =
@@ -80,3 +80,30 @@ let connect ~host ~port =
         | _ -> Unix.error_message err
       in
       Error (Printf.sprintf "cannot connect to %s:%d: %s" host port detail))
+
+(* How long a blocking write may stall on a full socket buffer
+   (cumulative, per call) before the peer is declared a lost cause. *)
+let write_stall_budget = 30.0
+
+let write_all fd s =
+  let b = Bytes.unsafe_of_string s in
+  let rec go off stalled =
+    if off < Bytes.length b then begin
+      match Unix.write fd b off (Bytes.length b - off) with
+      | n -> go (off + n) 0.0
+      | exception Unix.Unix_error (EINTR, _, _) -> go off stalled
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+        (* A nonblocking fd or an expired SO_SNDTIMEO: EAGAIN means the
+           socket buffer is full, not that the write failed — wait for
+           writability in slices and resume, up to the stall budget. *)
+        if stalled >= write_stall_budget then
+          raise (Unix.Unix_error (Unix.EAGAIN, "write", "stalled past budget"))
+        else begin
+          (match Unix.select [] [ fd ] [] 0.25 with
+          | _ -> ()
+          | exception Unix.Unix_error (EINTR, _, _) -> ());
+          go off (stalled +. 0.25)
+        end
+    end
+  in
+  go 0 0.0

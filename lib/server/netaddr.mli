@@ -1,4 +1,4 @@
-(** TCP address plumbing shared by the server, client, and loadgen. *)
+(** Socket plumbing shared by the server, client, and loadgen. *)
 
 (** Parse ["HOST:PORT"] or a bare ["PORT"].  An empty host
     (e.g. [":7070"]) means all interfaces; a bare port means
@@ -15,3 +15,9 @@ val bind_listen :
 
 (** Connect with [TCP_NODELAY]; diagnoses ECONNREFUSED. *)
 val connect : host:string -> port:int -> (Unix.file_descr, string) result
+
+(** Write all of [s], retrying [EINTR] and waiting out [EAGAIN] (a
+    full buffer or an expired [SO_SNDTIMEO]) in 0.25 s slices; past a
+    30 s cumulative stall it raises [Unix_error (EAGAIN, ...)].  Other
+    errors ([EPIPE], [ECONNRESET], ...) are raised as they come. *)
+val write_all : Unix.file_descr -> string -> unit

@@ -172,6 +172,20 @@ let parse_request line =
     | "BATCH", _ -> Result.Error "BATCH takes exactly one count"
     | v, _ -> Result.Error (Printf.sprintf "unknown verb %S" v))
 
+(* The full parser runs only when the first space-separated token is
+   BATCH in some case, so a framer spotting headers does not parse
+   every request a second time. *)
+let batch_header line =
+  let len = String.length line in
+  let rec start i = if i < len && line.[i] = ' ' then start (i + 1) else i in
+  let i = start 0 in
+  let rec verb k =
+    k = 5 || (Char.uppercase_ascii line.[i + k] = "BATCH".[k] && verb (k + 1))
+  in
+  if i + 5 <= len && verb 0 && (i + 5 = len || line.[i + 5] = ' ') then
+    match parse_request line with Result.Ok (Batch n) -> Some n | _ -> None
+  else None
+
 let analysis_args = function
   | Stats -> "STATS", []
   | Kcore None -> "KCORE", []

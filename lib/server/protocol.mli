@@ -92,8 +92,8 @@ type request =
   | Datasets
   | Info
       (** Daemon configuration and repair accounting: the k-core
-          repair budget and strategy, cascade / component-repair /
-          re-peel / budget-fallback totals, worker and cache settings. *)
+          repair budget, cascade / re-peel / budget-fallback totals,
+          worker and cache settings. *)
   | Metrics of metrics_format
   | Trace of int option
       (** Slowest recent requests with per-stage span timings;
@@ -146,6 +146,10 @@ val parse_item_line : string -> int option
 (** Inverse of {!item_line}; [None] when the line is not an item tag. *)
 
 val parse_request : string -> (request, string) result
+
+val batch_header : string -> int option
+(** [Some n] exactly when [parse_request] gives [Ok (Batch n)], but
+    the full parse runs only on lines whose first token is [BATCH]. *)
 
 val request_line : request -> string
 (** Canonical single-line rendering; [parse_request (request_line r)]

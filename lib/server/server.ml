@@ -48,16 +48,15 @@ let default_config ~socket_path =
    worker owns its read loop until the client leaves), or one
    already-framed request off a TCP connection (the event loop owns
    the socket; the worker only computes and hands bytes back through
-   the loop the job carries).  Both carry the timestamp they were
-   queued at so the worker can measure the queue wait. *)
+   it).  Both carry the timestamp they were queued at so the worker
+   can measure the queue wait. *)
 type job =
   | Conn of Unix.file_descr * float
   | Parsed of parsed_job
 
 and parsed_job = {
-  loop : Event_loop.t;
   pconn : Event_loop.conn;
-  payload : Event_loop.payload;
+  payload : Framer.payload;
   enqueued_at : float;
 }
 
@@ -67,14 +66,12 @@ type t = {
   cache : Result_cache.t;
   metrics : Metrics.t;
   trace : Trace.t;
-  listen_fd : Unix.file_descr;
+  loop : Event_loop.t;
   tcp_port : int option;
   http_port : int option;
   started_at : float;
   stopping : bool Atomic.t;
   mutable pool : job Worker.t option;
-  mutable accept_domain : unit Domain.t option;
-  mutable event_loop : Event_loop.t option;
   finalize_mutex : Mutex.t;
   mutable finalized : bool;
 }
@@ -494,12 +491,8 @@ let server_gauges t =
     ("queue_pending", float_of_int (queue_depth t));
     ("queue_limit", float_of_int t.config.queue_limit);
     ("uptime_seconds", Unix.gettimeofday () -. t.started_at);
+    ("tcp_open_connections", float_of_int (Event_loop.connections t.loop));
   ]
-  @
-  match t.event_loop with
-  | Some loop ->
-    [ ("tcp_open_connections", float_of_int (Event_loop.connections loop)) ]
-  | None -> []
 
 (* The one Prometheus rendering, shared by the protocol's
    [METRICS prom] and HTTP [GET /metrics]. *)
@@ -819,17 +812,17 @@ let serve_slots t ~write slots =
 (* The one request core behind both transports: serve a frame — a
    request line, or a BATCH header with all its item lines — handing
    each reply to [write] as soon as it is computed.  The Unix path's
-   [write] is a blocking [write_all] that may raise, the TCP path's is
+   [write] is a blocking write that may raise, the TCP path's is
    [Event_loop.send], which never does.  [`Stop]: the frame was a
    SHUTDOWN, already answered. *)
-let serve_frame t ~write ~queue_us (payload : Event_loop.payload) =
+let serve_frame t ~write ~queue_us (payload : Framer.payload) =
   match payload with
-  | Event_loop.Single line ->
+  | Framer.Single line ->
     let ((_, tr) as c) = start_clock t ~queue_us ~batched:false line in
     let parsed = Trace.timed tr Trace.Parse (fun () -> P.parse_request line) in
     serve_slots t ~write [| { line; parsed; prefix = ""; clock = Some c } |];
     (match parsed with Ok P.Shutdown -> `Stop | _ -> `Continue)
-  | Event_loop.Batch { header; n; items } ->
+  | Framer.Batch { header; n; items } ->
     let t0, tr = start_clock t ~queue_us ~batched:false header in
     Metrics.incr t.metrics (verb_counter (P.Batch n));
     Metrics.incr t.metrics "batch_requests";
@@ -846,120 +839,46 @@ let serve_frame t ~write ~queue_us (payload : Event_loop.payload) =
 
 (* ---------- connection plumbing ---------- *)
 
-type conn = { fd : Unix.file_descr; mutable pending : string }
+(* The line cannot be parsed for a request id, so it is answered once
+   and the connection dropped rather than scanned for the next
+   newline.  Both transports account it here. *)
+let oversized_refusal t =
+  Metrics.incr t.metrics "oversized_requests";
+  Metrics.incr t.metrics "responses_err";
+  P.encode_reply
+    (P.err P.Bad_request
+       (Printf.sprintf "request line exceeds %d bytes" P.max_line_bytes))
 
-let strip_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+(* Reject at the door with a machine-readable backoff hint instead of
+   queueing unboundedly or hanging up mute. *)
+let busy_refusal t depth =
+  Metrics.incr t.metrics "busy_rejections";
+  P.encode_reply
+    (P.err
+       ~retry_after_ms:(retry_hint_ms depth)
+       P.Busy
+       (Printf.sprintf "job queue full (%d pending)" depth))
 
-(* Reads block in slices of the poll interval so a worker parked on an
-   idle keep-alive connection notices shutdown promptly.  At EOF an
-   unterminated last line comes back once, as [`Tail]. *)
-let rec read_line t conn =
-  match String.index_opt conn.pending '\n' with
-  | Some i when i > P.max_line_bytes ->
-    Metrics.incr t.metrics "oversized_requests";
-    `Oversized
-  | Some i ->
-    let line = String.sub conn.pending 0 i in
-    conn.pending <-
-      String.sub conn.pending (i + 1) (String.length conn.pending - i - 1);
-    `Line (strip_cr line)
-  | None ->
-    if String.length conn.pending > P.max_line_bytes then begin
-      Metrics.incr t.metrics "oversized_requests";
-      `Oversized
-    end
-    else begin
-      let buf = Bytes.create 4096 in
-      match Unix.read conn.fd buf 0 (Bytes.length buf) with
-      | 0 ->
-        if conn.pending = "" then `Eof
-        else begin
-          let line = conn.pending in
-          conn.pending <- "";
-          `Tail (strip_cr line)
-        end
-      | n ->
-        conn.pending <- conn.pending ^ Bytes.sub_string buf 0 n;
-        read_line t conn
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-        if Atomic.get t.stopping then `Eof else read_line t conn
-    end
-
-(* Frame a blocking connection the way [Event_loop] frames TCP: a
-   request line, or a BATCH header with all [n] of its item lines.
-   EOF inside a run, an unterminated item included, drops the run. *)
-let rec read_frame t conn =
-  match read_line t conn with
-  | (`Eof | `Oversized) as stop -> stop
-  | `Line line | `Tail line -> (
-    if String.trim line = "" then read_frame t conn
-    else
-      match P.parse_request line with
-      | Ok (P.Batch n) ->
-        let rec items k acc =
-          if k = n then
-            `Frame (Event_loop.Batch { header = line; n; items = List.rev acc })
-          else
-            match read_line t conn with
-            | `Line item -> items (k + 1) (item :: acc)
-            | `Tail _ | `Eof -> `Eof
-            | `Oversized -> `Oversized
-        in
-        items 0 []
-      | _ -> `Frame (Event_loop.Single line))
-
-(* How long a blocking reply write may stall on a full socket buffer
-   (cumulative, per reply) before the connection is declared a lost
-   cause and dropped. *)
-let write_stall_budget = 30.0
-
-let write_all fd s =
+(* The blocking reply write, with the chaos failpoints around it; a
+   truncation fault writes a prefix and then fails, modelling a
+   connection torn down mid-reply. *)
+let write_reply fd s =
   Hp_util.Fault.point "server.write";
-  (* A truncation fault writes a prefix and then fails, modelling a
-     connection torn down mid-reply. *)
-  let truncated = Hp_util.Fault.fires "server.write.trunc" in
-  let s = if truncated then String.sub s 0 (String.length s / 2) else s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off stalled =
-    if off < Bytes.length b then begin
-      match Unix.write fd b off (Bytes.length b - off) with
-      | n -> go (off + n) 0.0
-      | exception Unix.Unix_error (EINTR, _, _) -> go off stalled
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        (* A nonblocking fd or an expired SO_SNDTIMEO: wait for
-           writability in slices and keep going, up to a stall budget —
-           EAGAIN is backpressure, not an I/O failure.  Past the
-           budget the client is not consuming; give up on it (the
-           caller accounts the connection, not the process). *)
-        if stalled >= write_stall_budget then
-          raise
-            (Unix.Unix_error (Unix.EAGAIN, "write", "reply stalled past budget"))
-        else begin
-          (match Unix.select [] [ fd ] [] 0.25 with
-          | _ -> ()
-          | exception Unix.Unix_error (EINTR, _, _) -> ());
-          go off (stalled +. 0.25)
-        end
-    end
-  in
-  go 0 0.0;
-  if truncated then raise (Hp_util.Fault.Injected "server.write.trunc")
+  if Hp_util.Fault.fires "server.write.trunc" then begin
+    Netaddr.write_all fd (String.sub s 0 (String.length s / 2));
+    raise (Hp_util.Fault.Injected "server.write.trunc")
+  end
+  else Netaddr.write_all fd s
 
 let initiate_stop t =
   if not (Atomic.exchange t.stopping true) then begin
-    (* Stop taking new TCP connections right away; established ones
-       are drained when [wait] stops the loop after the workers. *)
-    Option.iter Event_loop.quiesce t.event_loop;
-    (* Nudge the accept loop out of its blocking accept. *)
-    try
-      let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          try Unix.connect fd (Unix.ADDR_UNIX t.config.socket_path) with _ -> ())
-    with _ -> ()
+    (* Stop accepting right away; established TCP connections are
+       drained when [wait] stops the loop after the workers.  Remove
+       the rendezvous point now too, so a SHUTDOWN client observes the
+       file gone once its reply arrives and a restarting server never
+       sees its own stale socket. *)
+    Event_loop.quiesce t.loop;
+    try Unix.unlink t.config.socket_path with _ -> ()
   end
 
 let serve_connection t (fd, accepted_at) =
@@ -970,23 +889,33 @@ let serve_connection t (fd, accepted_at) =
   let queue_wait = Unix.gettimeofday () -. accepted_at in
   Metrics.observe t.metrics "queue_wait" queue_wait;
   let pending_queue_us = ref (max 0 (int_of_float (queue_wait *. 1e6))) in
+  (* Reads block in slices of the poll interval so a worker parked on
+     an idle keep-alive connection notices shutdown promptly. *)
   (try Unix.setsockopt_float fd SO_RCVTIMEO 0.25 with _ -> ());
-  let conn = { fd; pending = "" } in
+  let input = Framer.create () in
+  let rec next_frame () =
+    match Framer.frame input with
+    | `Await -> (
+      let buf = Bytes.create 4096 in
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 ->
+        Framer.feed_eof input;
+        next_frame ()
+      | n ->
+        Framer.feed input buf n;
+        next_frame ()
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+        if Atomic.get t.stopping then `End else next_frame ())
+    | (`Frame _ | `Oversized | `End) as r -> r
+  in
   let rec loop () =
-    match read_frame t conn with
-    | `Eof -> ()
-    | `Oversized ->
-      (* The line cannot be parsed for a request id, so answer once and
-         drop the connection rather than scan for the next newline. *)
-      Metrics.incr t.metrics "responses_err";
-      write_all fd
-        (P.encode_reply
-           (P.err P.Bad_request
-              (Printf.sprintf "request line exceeds %d bytes" P.max_line_bytes)))
+    match next_frame () with
+    | `End -> ()
+    | `Oversized -> write_reply fd (oversized_refusal t)
     | `Frame payload -> (
       let queue_us = !pending_queue_us in
       pending_queue_us := 0;
-      match serve_frame t ~write:(write_all fd) ~queue_us payload with
+      match serve_frame t ~write:(write_reply fd) ~queue_us payload with
       | `Continue -> loop ()
       | `Stop -> initiate_stop t)
   in
@@ -1008,46 +937,46 @@ let serve_connection t (fd, accepted_at) =
    its next pipelined frame.  Whatever happens — including a lethal
    failpoint killing the domain — the connection must be released, or
    it would hang in-flight forever. *)
-let serve_parsed t { loop; pconn; payload; enqueued_at } =
+let serve_parsed t { pconn; payload; enqueued_at } =
   let queue_wait = Unix.gettimeofday () -. enqueued_at in
   Metrics.observe t.metrics "queue_wait" queue_wait;
   let queue_us = max 0 (int_of_float (queue_wait *. 1e6)) in
   match
     Hp_util.Fault.point "worker.job";
-    serve_frame t ~write:(Event_loop.send loop pconn) ~queue_us payload
+    serve_frame t ~write:(Event_loop.send t.loop pconn) ~queue_us payload
   with
-  | `Continue -> Event_loop.finish loop pconn ~close:false
+  | `Continue -> Event_loop.finish t.loop pconn ~close:false
   | `Stop ->
-    Event_loop.finish loop pconn ~close:true;
+    Event_loop.finish t.loop pconn ~close:true;
     initiate_stop t
   | exception e ->
-    Event_loop.finish loop pconn ~close:true;
+    Event_loop.finish t.loop pconn ~close:true;
     raise e
 
-(* Admission decision for a framed TCP request; runs on the loop
-   domain, so it only queues and returns.  Unlike the Unix path, a
-   busy rejection answers on the existing connection and keeps it open
-   — reconnecting through a full queue would only add load. *)
-let on_loop_request t loop pconn payload : Event_loop.verdict =
-  if Atomic.get t.stopping then Event_loop.Close_now
-  else
-    match t.pool with
-    | None -> Event_loop.Close_now
-    | Some pool -> (
-      let job =
-        Parsed { loop; pconn; payload; enqueued_at = Unix.gettimeofday () }
-      in
-      match Worker.submit pool job with
-      | `Accepted -> Event_loop.Dispatched
-      | `Stopping -> Event_loop.Close_now
-      | `Busy depth ->
-        Metrics.incr t.metrics "busy_rejections";
-        Event_loop.Reply_now
-          (P.encode_reply
-             (P.err
-                ~retry_after_ms:(retry_hint_ms depth)
-                P.Busy
-                (Printf.sprintf "job queue full (%d pending)" depth))))
+(* Admission decisions; both run on the loop domain, so they only queue
+   and return.  A Unix connection is one job: a full queue refuses it
+   at the door and the loop closes it.  A TCP frame is one job: a full
+   queue answers it on the open connection, which stays open —
+   reconnecting through a full queue would only add load. *)
+let submit t job =
+  match t.pool with Some pool -> Worker.submit pool job | None -> `Stopping
+
+let on_handoff t fd =
+  match submit t (Conn (fd, Unix.gettimeofday ())) with
+  | `Accepted -> `Taken
+  | `Stopping ->
+    (try Unix.close fd with _ -> ());
+    `Taken
+  | `Busy depth -> `Refused (busy_refusal t depth)
+
+let on_loop_request t pconn : _ -> Event_loop.verdict = function
+  | `Oversized -> Event_loop.Reply_close (oversized_refusal t)
+  | `Frame _ when Atomic.get t.stopping -> Event_loop.Close_now
+  | `Frame payload -> (
+    match submit t (Parsed { pconn; payload; enqueued_at = Unix.gettimeofday () }) with
+    | `Accepted -> Event_loop.Dispatched
+    | `Stopping -> Event_loop.Close_now
+    | `Busy depth -> Event_loop.Reply_now (busy_refusal t depth))
 
 (* The scrape endpoints.  Deliberately tiny: two GET paths, answered
    on the loop domain from in-memory state (no dataset work, no
@@ -1075,45 +1004,6 @@ let http_response t ~peer:_ lines =
             ~status:200 body
         | _ -> Http.response ~head_only ~status:404 "not found\n"
       end)
-
-let accept_loop t =
-  let rec go () =
-    if Atomic.get t.stopping then ()
-    else begin
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        if Atomic.get t.stopping then (try Unix.close fd with _ -> ())
-        else begin
-          match t.pool with
-          | None -> Unix.close fd
-          | Some pool -> (
-            match Worker.submit pool (Conn (fd, Unix.gettimeofday ())) with
-            | `Accepted -> ()
-            | `Stopping -> ( try Unix.close fd with _ -> ())
-            | `Busy depth ->
-              (* Reject at the door with a machine-readable backoff hint
-                 instead of queueing unboundedly or hanging up mute. *)
-              Metrics.incr t.metrics "busy_rejections";
-              let reply =
-                P.err
-                  ~retry_after_ms:(retry_hint_ms depth)
-                  P.Busy
-                  (Printf.sprintf "job queue full (%d pending)" depth)
-              in
-              (try write_all fd (P.encode_reply reply) with _ -> ());
-              (try Unix.close fd with _ -> ()))
-        end;
-        go ()
-      | exception Unix.Unix_error (EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> ()
-    end
-  in
-  go ();
-  (try Unix.close t.listen_fd with _ -> ());
-  (* No longer accepting: remove the rendezvous point right away, so a
-     SHUTDOWN client observes the file gone once its reply arrives and
-     a restarting server never sees its own stale socket. *)
-  try Unix.unlink t.config.socket_path with _ -> ()
 
 (* ---------- lifecycle ---------- *)
 
@@ -1218,21 +1108,23 @@ let start config =
         Option.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) tcp_listen;
         Error e)
   in
+  let listeners =
+    ((listen_fd, `Handoff) :: List.map (fun (fd, _) -> (fd, `Protocol)) (Option.to_list tcp_listen))
+    @ List.map (fun (fd, _) -> (fd, `Http)) (Option.to_list http_listen)
+  in
   let t =
     {
       config;
       registry;
       cache = Result_cache.create ~capacity:config.cache_capacity ~metrics ();
       metrics;
-      listen_fd;
+      loop = Event_loop.create ~metrics ~listeners ();
       tcp_port = Option.map snd tcp_listen;
       http_port = Option.map snd http_listen;
       trace = Trace.create ();
       started_at = Unix.gettimeofday ();
       stopping = Atomic.make false;
       pool = None;
-      accept_domain = None;
-      event_loop = None;
       finalize_mutex = Mutex.create ();
       finalized = false;
     }
@@ -1267,19 +1159,9 @@ let start config =
            match job with
            | Conn (fd, at) -> serve_connection t (fd, at)
            | Parsed p -> serve_parsed t p));
-  (match (tcp_listen, http_listen) with
-  | None, None -> ()
-  | _ ->
-    let listeners =
-      (match tcp_listen with Some (fd, _) -> [ (fd, `Protocol) ] | None -> [])
-      @ match http_listen with Some (fd, _) -> [ (fd, `Http) ] | None -> []
-    in
-    t.event_loop <-
-      Some
-        (Event_loop.create ~metrics ~on_request:(on_loop_request t)
-           ~on_http:(fun ~peer lines -> http_response t ~peer lines)
-           ~listeners ()));
-  t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
+  Event_loop.start t.loop ~on_request:(on_loop_request t)
+    ~on_http:(fun ~peer lines -> http_response t ~peer lines)
+    ~on_handoff:(on_handoff t);
   Log.info ~comp:"server"
     ~fields:
       ([
@@ -1296,10 +1178,7 @@ let start config =
       @ (match (t.http_port, config.http) with
         | Some p, Some (host, _) -> [ ("http", Printf.sprintf "%s:%d" host p) ]
         | _ -> [])
-      @
-      match t.event_loop with
-      | Some loop -> [ ("event_backend", Event_loop.backend loop) ]
-      | None -> [])
+      @ [ ("event_backend", Event_loop.backend t.loop) ])
     "listening";
   Ok t
 
@@ -1311,20 +1190,20 @@ let wait t =
     ~finally:(fun () -> Mutex.unlock t.finalize_mutex)
     (fun () ->
       if not t.finalized then begin
-        Option.iter Domain.join t.accept_domain;
+        (* Polled, not signalled: [request_stop] runs in signal
+           handlers, where taking a lock could deadlock. *)
+        while not (Atomic.get t.stopping) do
+          Unix.sleepf 0.05
+        done;
         Option.iter Worker.shutdown t.pool;
         (* Workers drained after the loop quiesced: every accepted TCP
            request has produced its reply bytes; stop the loop so it
            flushes outboxes and closes the remaining connections. *)
-        Option.iter
-          (fun loop ->
-            Event_loop.stop loop;
-            Event_loop.join loop)
-          t.event_loop;
+        Event_loop.stop t.loop;
+        Event_loop.join t.loop;
         (* Workers are drained: no more appends are coming, so make
            every Batch/Never-policy WAL tail durable before exit. *)
         Registry.sync_wals t.registry;
-        (try Unix.unlink t.config.socket_path with _ -> ());
         (* Workers are drained: the cache is quiescent, dump it for the
            next run. *)
         Option.iter

@@ -1,15 +1,16 @@
 (** The hgd daemon: a Unix-domain-socket (and optionally TCP) server
     holding datasets resident and memoizing analyses.
 
-    Architecture: one accept domain feeds Unix-socket connections to a
-    fixed {!Worker} pool; each worker reads its connection frame by
-    frame — a request line, or a [BATCH] header with all its item
-    lines — until the client disconnects.  With [tcp] (and/or [http])
-    configured, an {!Event_loop} domain additionally multiplexes every
-    TCP connection nonblockingly — framing requests the same way in
-    user space and submitting each frame to the same worker pool, one
-    at a time per connection — so a slow or stalled client costs
-    buffer memory, never a worker or the accept path.
+    Architecture: one {!Event_loop} domain accepts on every listener.
+    A Unix-socket connection is handed, blocking, to a fixed {!Worker}
+    pool; its worker reads it frame by frame — a request line, or a
+    [BATCH] header with all its item lines — until the client
+    disconnects.  With [tcp] (and/or [http]) configured, the loop also
+    keeps every TCP connection, nonblockingly, framing requests the
+    same way and submitting each frame to the same worker pool, one at
+    a time per connection — so a slow or stalled client costs buffer
+    memory, never a worker or the accept path.  One {!Framer} turns
+    bytes into frames on both transports.
 
     Both transports serve a frame through one request core, which
     writes each reply as soon as it is computed.  Inside a frame,
@@ -100,13 +101,13 @@ val default_config : socket_path:string -> config
     entries, 30 s timeout, single-domain kernels, no preload, queue
     limit 128, shed watermark 64, 1 GiB file cap, no failpoints,
     exact path sweeps ([stats_samples = 0]), no cache file, [Batch]
-    WAL sync, manual checkpoints only, k-core repair budget 4096. *)
+    WAL sync, manual checkpoints only, no TCP or HTTP port. *)
 
 type t
 
 val start : config -> (t, string) result
 (** Bind the socket (replacing a stale file), preload datasets, spawn
-    the pool and the accept domain, and return without blocking.
+    the pool and the event loop, and return without blocking.
     [Error] on bind failure or a preload that does not parse. *)
 
 val stop : t -> unit

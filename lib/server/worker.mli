@@ -1,9 +1,10 @@
 (** A supervised, bounded pool of worker domains draining a shared
     job queue.
 
-    The accept loop hands each client connection to the pool; workers
-    run the handler to completion and pull the next job.  Jobs are
-    processed FIFO.
+    The server's event loop hands each job to the pool — a whole
+    Unix-socket connection, or one framed TCP request; workers run the
+    handler to completion and pull the next job.  Jobs are processed
+    FIFO.
 
     {b Exception containment.}  A handler exception is captured, not
     swallowed: the pool counts it ({!exceptions}) and reports it

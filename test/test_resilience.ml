@@ -482,7 +482,7 @@ let test_chaos_busy_and_retry () =
         | Error msg -> Alcotest.failf "c2 connect: %s" msg
       in
       Unix.sleepf 0.2;
-      (* let the accept domain queue c2 *)
+      (* let the event loop hand c2 to the queue *)
       let c3 =
         match Client.connect ~socket_path with
         | Ok c -> c

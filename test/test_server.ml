@@ -179,6 +179,30 @@ let prop_reply_roundtrip =
     (QCheck.make ~print:P.encode_reply reply_gen)
     (fun reply -> P.decode_reply (P.encode_reply reply) = Ok reply)
 
+(* The framer's cheap BATCH check agrees with the full parser: verbs
+   in any case, repeated, leading and trailing spaces, tabs and CRs,
+   edge counts, non-integers and extra tokens. *)
+let batch_line_gen =
+  QCheck.Gen.(
+    let pad = oneofl [ ""; " "; "   "; "\t"; "\r"; " \r"; "\t " ] in
+    let verb =
+      oneofl [ "BATCH"; "batch"; "Batch"; "bAtCh"; "BATCHX"; "BATC"; "XBATCH"; "PING"; "" ]
+    in
+    let sep = oneofl [ ""; " "; "  "; "\t"; " \t"; "\r"; " \r " ] in
+    let count =
+      oneofl [ "0"; "1"; "2"; "1024"; "1025"; "-1"; "x"; "1.5"; "3x"; "0x10"; "" ]
+    in
+    let extra = oneofl [ ""; ""; " x"; " 2"; "\t7"; " 1 1" ] in
+    map (String.concat "") (flatten_l [ pad; verb; sep; count; extra; pad ]))
+
+let prop_batch_header =
+  QCheck.Test.make ~name:"protocol: batch_header agrees with parse_request"
+    ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") batch_line_gen)
+    (fun line ->
+      P.batch_header line
+      = match P.parse_request line with Ok (P.Batch n) -> Some n | _ -> None)
+
 let test_reply_sanitization () =
   (* Tabs and newlines in payloads must not break framing. *)
   let encoded = P.encode_reply (P.Ok [ ("key", "a\tb\nc") ]) in
@@ -1020,6 +1044,7 @@ let () =
           Alcotest.test_case "analysis keys" `Quick test_analysis_key_defaults;
           Th.prop prop_request_roundtrip;
           Th.prop prop_reply_roundtrip;
+          Th.prop prop_batch_header;
         ] );
       ( "registry",
         [

@@ -6,6 +6,7 @@
 module Server = Hp_server.Server
 module Client = Hp_server.Client
 module Netaddr = Hp_server.Netaddr
+module Framer = Hp_server.Framer
 module P = Hp_server.Protocol
 
 let checkb = Alcotest.(check bool)
@@ -593,11 +594,34 @@ let test_batch_same_bytes () =
         List.length
           (List.filter (starts_with ~prefix:"ITEM ") (String.split_on_char '\n' r))
       in
+      let run_case (name, input, expect) =
+        let via_unix, via_tcp =
+          over_both ~socket_path ~port (fun fd -> exchange fd [ input ])
+        in
+        checks (name ^ ": same bytes on unix and tcp") via_unix via_tcp;
+        expect via_unix
+      in
+      (* Both transports account the refusal alike: one oversized
+         request and one error reply each. *)
+      let counters () =
+        let m =
+          expect_ok "metrics"
+            (Client.with_connection ~socket_path (fun c ->
+                 Client.request c (P.Metrics P.Table)))
+        in
+        let get k = Option.fold ~none:0 ~some:int_of_string (List.assoc_opt k m) in
+        (get "oversized_requests", get "responses_err")
+      in
+      let oversized0, errs0 = counters () in
+      run_case
+        ( "oversized item line",
+          "BATCH 2\n" ^ kcore ^ "\n" ^ String.make (P.max_line_bytes + 1) 'x',
+          fun r -> checks "one plain ERR, then close" oversized r );
+      let oversized1, errs1 = counters () in
+      checki "oversized_requests moved by 2" 2 (oversized1 - oversized0);
+      checki "responses_err moved by 2" 2 (errs1 - errs0);
       let cases =
         [
-          ( "oversized item line",
-            "BATCH 2\n" ^ kcore ^ "\n" ^ String.make (P.max_line_bytes + 1) 'x',
-            fun r -> checks "one plain ERR, then close" oversized r );
           ( "EOF after 1 of 3 items",
             "BATCH 3\n" ^ kcore ^ "\n",
             fun r -> checks "no item answered" "" r );
@@ -612,14 +636,7 @@ let test_batch_same_bytes () =
                 (starts_with ~prefix:"ITEM 0\nERR bad-request SHUTDOWN" r) );
         ]
       in
-      List.iter
-        (fun (name, input, expect) ->
-          let via_unix, via_tcp =
-            over_both ~socket_path ~port (fun fd -> exchange fd [ input ])
-          in
-          checks (name ^ ": same bytes on unix and tcp") via_unix via_tcp;
-          expect via_unix)
-        cases;
+      List.iter run_case cases;
       ignore
         (expect_ok "daemon still serving"
            (Client.with_connection ~socket_path (fun c -> Client.request c P.Ping))))
@@ -660,19 +677,23 @@ let fuzz_stream digest =
     (list_size (int_range 0 7)
        (frequency [ (4, line request); (1, line (return "")); (3, batch) ]))
 
+(* [stream] cut at [offsets] (taken modulo its length + 1). *)
+let cut stream offsets =
+  let len = String.length stream in
+  let offsets = List.sort_uniq compare (List.map (fun o -> o mod (len + 1)) offsets) in
+  let pieces, last =
+    List.fold_left
+      (fun (acc, from) o -> (String.sub stream from (o - from) :: acc, o))
+      ([], 0) offsets
+  in
+  List.rev (String.sub stream last (len - last) :: pieces)
+
+let print_cut (s, offsets) =
+  Printf.sprintf "%S cut at %s" s (String.concat "," (List.map string_of_int offsets))
+
 let test_framer_fuzz () =
   with_tcp_server ~cache:0 (fun ~dir ~socket_path ~t:_ ~port ->
       let digest = load_dataset ~via:(tcp_addr port) dir in
-      let cut stream offsets =
-        let len = String.length stream in
-        let offsets = List.sort_uniq compare (List.map (fun o -> o mod (len + 1)) offsets) in
-        let pieces, last =
-          List.fold_left
-            (fun (acc, from) o -> (String.sub stream from (o - from) :: acc, o))
-            ([], 0) offsets
-        in
-        List.rev (String.sub stream last (len - last) :: pieces)
-      in
       let prop (stream, offsets) =
         let whole_unix, whole_tcp =
           over_both ~socket_path ~port (fun fd -> exchange fd [ stream ])
@@ -685,14 +706,121 @@ let test_framer_fuzz () =
         && split_tcp = whole_tcp
       in
       let arb =
-        QCheck.make
-          ~print:(fun (s, offsets) ->
-            Printf.sprintf "%S cut at %s" s
-              (String.concat "," (List.map string_of_int offsets)))
+        QCheck.make ~print:print_cut
           QCheck.Gen.(pair (fuzz_stream digest) (list_size (int_range 1 6) nat))
       in
       QCheck.Test.check_exn ~rand:(Random.State.make [| 2004 |])
         (QCheck.Test.make ~name:"split stream = whole stream" ~count:30 arb prop))
+
+(* ---------- the framer alone, no sockets ---------- *)
+
+let feed_string fr s = Framer.feed fr (Bytes.of_string s) (String.length s)
+
+(* What [fr] yields until it needs more input (or, at EOF, until
+   [`End]); a refusal ends the connection, so it ends the list. *)
+let drain fr =
+  let rec go acc =
+    match Framer.frame fr with
+    | `Await -> List.rev acc
+    | (`End | `Oversized) as r -> List.rev (r :: acc)
+    | `Frame _ as f -> go (f :: acc)
+  in
+  go []
+
+(* Feed [pieces] in turn, draining after each, then EOF; a refusal
+   stops the feed. *)
+let frames_of pieces =
+  let fr = Framer.create () in
+  let rec go acc = function
+    | _ when List.mem `Oversized acc -> acc
+    | [] ->
+      Framer.feed_eof fr;
+      acc @ drain fr
+    | piece :: rest ->
+      feed_string fr piece;
+      go (acc @ drain fr) rest
+  in
+  go [] pieces
+
+let test_framer_split_whole =
+  QCheck.Test.make ~name:"framer: split stream = whole stream" ~count:500
+    (QCheck.make ~print:print_cut
+       QCheck.Gen.(pair (fuzz_stream "feedface") (list_size (int_range 1 12) nat)))
+    (fun (stream, offsets) ->
+      let whole = frames_of [ stream ] in
+      List.length whole > 1 && frames_of (cut stream offsets) = whole)
+
+(* Frame lengths, so a failing 1 MiB case prints legibly. *)
+let shape =
+  List.map (function
+    | `Frame (Framer.Single l) -> Printf.sprintf "single %d" (String.length l)
+    | `Frame (Framer.Batch { n; items; _ }) ->
+      Printf.sprintf "batch %d [%s]" n
+        (String.concat " " (List.map (fun l -> string_of_int (String.length l)) items))
+    | `Oversized -> "oversized"
+    | `End -> "end")
+
+let test_framer_eof_rules () =
+  let case name input expect =
+    Alcotest.(check (list string)) name expect (shape (frames_of [ input ]))
+  in
+  case "unterminated last line is served" "PING\nKCORE ab" [ "single 4"; "single 8"; "end" ];
+  case "unterminated CRLF tail" "PING\r" [ "single 4"; "end" ];
+  case "blank lines skipped" "\n\r\n  \nPING\n\n" [ "single 4"; "end" ];
+  case "blank tail skipped" "PING\n  " [ "single 4"; "end" ];
+  case "complete run" "BATCH 2\nPING\n\n" [ "batch 2 [4 0]"; "end" ];
+  case "unterminated header drops the run" "BATCH 2" [ "end" ];
+  case "EOF inside the run drops it" "BATCH 3\nPING\nPING\n" [ "end" ];
+  case "unterminated last item drops the run" "BATCH 2\nPING\nPING" [ "end" ];
+  case "frames before the run are served" "PING\nBATCH 2\nPING" [ "single 4"; "end" ]
+
+let test_framer_cap () =
+  let max = P.max_line_bytes in
+  let line n = String.make n 'x' in
+  let case name input expect =
+    Alcotest.(check (list string)) name expect (shape (frames_of [ input ]))
+  in
+  case "line of exactly the cap" (line max ^ "\n") [ Printf.sprintf "single %d" max; "end" ];
+  case "one byte more" (line (max + 1) ^ "\n") [ "oversized" ];
+  case "unterminated, exactly the cap" (line max) [ Printf.sprintf "single %d" max; "end" ];
+  case "unterminated, one byte more" (line (max + 1)) [ "oversized" ];
+  case "item of exactly the cap"
+    ("BATCH 1\n" ^ line max ^ "\n")
+    [ Printf.sprintf "batch 1 [%d]" max; "end" ];
+  case "item one byte more" ("BATCH 1\n" ^ line (max + 1) ^ "\n") [ "oversized" ];
+  (* Before EOF, a full cap with no newline waits; one byte more is
+     refused without waiting for the newline. *)
+  let fr = Framer.create () in
+  feed_string fr (line max);
+  checkb "cap buffered, no newline: await" true (Framer.frame fr = `Await);
+  feed_string fr "x";
+  checkb "past the cap: refused" true (Framer.frame fr = `Oversized)
+
+(* ---------- HTTP sniff: a request line cut anywhere ---------- *)
+
+let test_http_sniff_cuts () =
+  with_tcp_server (fun ~dir:_ ~socket_path:_ ~t:_ ~port ->
+      let req = "GET /healthz HTTP/1.0\r\n\r\n" in
+      let get pieces =
+        let fd = raw_tcp port in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            List.iteri
+              (fun i piece ->
+                if i > 0 then Unix.sleepf 0.002;
+                ignore (Unix.write_substring fd piece 0 (String.length piece)))
+              pieces;
+            recv_all fd)
+      in
+      let whole = get [ req ] in
+      checks "whole request: 200" "200" (status_of whole);
+      for k = 1 to String.length req - 1 do
+        checks
+          (Printf.sprintf "cut at byte %d" k)
+          whole
+          (get [ String.sub req 0 k; String.sub req k (String.length req - k) ])
+      done)
 
 (* ---------- start/stop race: a frame dispatched early is answered ---------- *)
 
@@ -781,8 +909,18 @@ let () =
           Alcotest.test_case "start/stop race, pings answered" `Quick
             test_start_stop_race;
         ] );
+      ( "framer",
+        [
+          QCheck_alcotest.to_alcotest test_framer_split_whole;
+          Alcotest.test_case "EOF rules" `Quick test_framer_eof_rules;
+          Alcotest.test_case "line cap" `Quick test_framer_cap;
+        ] );
       ( "http",
-        [ Alcotest.test_case "metrics and healthz" `Quick test_http_endpoints ] );
+        [
+          Alcotest.test_case "metrics and healthz" `Quick test_http_endpoints;
+          Alcotest.test_case "sniff: every cut gets the same 200" `Quick
+            test_http_sniff_cuts;
+        ] );
       ( "select-backend",
         [ Alcotest.test_case "fallback serves traffic" `Quick test_select_backend ]
       );

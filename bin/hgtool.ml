@@ -834,7 +834,7 @@ let loadgen_cmd =
       Printf.printf "%-8s %d mutations applied, %d lost races\n" ""
         p.L.mutations p.L.mutation_races
   in
-  let finish ~out ~check_tcp report =
+  let finish ~out ~baseline report =
     print_phase report.L.single;
     print_phase report.L.loaded;
     Printf.printf "scaleup: %.2fx\n%!" report.L.scaleup;
@@ -846,24 +846,37 @@ let loadgen_cmd =
       close_out oc;
       Printf.printf "wrote %s\n%!" out
     end;
-    if check_tcp then begin
-      let baseline_file = Filename.concat "bench" "tcp_baseline.json" in
-      let baseline =
-        match In_channel.with_open_text baseline_file In_channel.input_all with
-        | s -> s
-        | exception Sys_error msg ->
-          Printf.eprintf "hgtool: loadgen: --check-tcp: %s\n" msg;
-          exit 1
-      in
-      match L.check ~baseline report with
-      | Ok () -> Printf.printf "tcp loadgen guard: ok\n%!"
-      | Error msg ->
-        Printf.eprintf "hgtool: loadgen: %s\n" msg;
-        exit 1
-    end
+    Option.iter
+      (fun baseline ->
+        match L.check ~baseline report with
+        | Ok () -> Printf.printf "tcp loadgen guard: ok\n%!"
+        | Error msg ->
+          Printf.eprintf "hgtool: loadgen: %s\n" msg;
+          exit 1)
+      baseline
   in
   let run tcp self_host connections requests dataset stalled seed mutate out
       check_tcp =
+    (* The baseline is read before any load runs, so a missing file
+       fails at once. *)
+    let baseline =
+      if not check_tcp then None
+      else
+        let file = Filename.concat "bench" "tcp_baseline.json" in
+        match In_channel.with_open_text file In_channel.input_all with
+        | exception Sys_error msg ->
+          Printf.eprintf
+            "hgtool: loadgen: --check-tcp: %s; the path is relative to the \
+             working directory, so run the check from the repository root\n"
+            msg;
+          exit 1
+        | s -> (
+          match L.baseline_scaleup s with
+          | Ok want -> Some want
+          | Error msg ->
+            Printf.eprintf "hgtool: loadgen: %s: %s\n" file msg;
+            exit 1)
+    in
     let measure ~host ~port ~dataset ~cleanup =
       let cfg =
         {
@@ -882,7 +895,7 @@ let loadgen_cmd =
       | Error msg ->
         Printf.eprintf "hgtool: loadgen: %s\n" msg;
         exit 1
-      | Ok report -> finish ~out ~check_tcp report
+      | Ok report -> finish ~out ~baseline report
     in
     if self_host then begin
       (* Spin a private in-process server on an ephemeral TCP port:
@@ -999,7 +1012,9 @@ let loadgen_cmd =
     Arg.(value & flag & info [ "check-tcp" ]
            ~doc:"CI guard: fail unless every request succeeded and the \
                  measured concurrency scaleup is at least half the \
-                 committed baseline in bench/tcp_baseline.json.")
+                 committed baseline in bench/tcp_baseline.json, which is \
+                 read relative to the working directory before any load \
+                 runs.")
   in
   Cmd.v
     (Cmd.info "loadgen"

@@ -56,11 +56,28 @@ type t = {
   wake_w : Unix.file_descr;
   max_connections : int;
   max_outbox_bytes : int;
+  (* Loop-domain state.  Every read of a loop-served connection lands
+     in [read_buf]; [Framer.feed] copies it out. *)
+  read_buf : Bytes.t;
+  mutable small_minor_heap : bool;
   quiescing : bool Atomic.t;
   stopping : bool Atomic.t;
   mutable listeners_closed : bool;
   mutable domain : unit Domain.t option;
 }
+
+(* The loop domain's minor heap, in words (128 KiB; a domain's default
+   is 256k words, 2 MiB).  In OCaml 5 each domain has its own minor
+   heap, but a minor collection stops every domain and empties all of
+   them.  Once reads and replies stop allocating on the major heap, no
+   major slice forces those collections, so hgd's workers fill and
+   touch their whole minor heaps; the loop, allocating per request,
+   fills a small heap first and brings collections back.  Set lazily,
+   on the first loop-served connection: [Gc.set] on a running domain
+   forces one collection across all domains (1.2-1.5 ms at hgd
+   start-up), which a Unix-only hgd, whose loop only accepts, never
+   needs.  [Gc.set] changes the calling domain's heap only. *)
+let loop_minor_heap_words = 16_384
 
 (* More than a max line plus a read chunk buffered without a complete
    frame means either an oversized line (rejected) or aggressive
@@ -263,14 +280,13 @@ let rec read_input t c budget =
       update_interest t c
     end
     else begin
-      let buf = Bytes.create 16384 in
-      match Unix.read c.fd buf 0 (Bytes.length buf) with
+      match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
       | 0 ->
         Framer.feed_eof c.input;
         update_interest t c;
         process_frames t c
       | n ->
-        Framer.feed c.input buf n;
+        Framer.feed c.input t.read_buf n;
         process_frames t c;
         if budget > 1 then read_input t c (budget - 1)
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
@@ -281,6 +297,12 @@ let rec read_input t c budget =
   end
 
 (* ---------- accept path ---------- *)
+
+let use_small_minor_heap t =
+  if not t.small_minor_heap then begin
+    t.small_minor_heap <- true;
+    Gc.set { (Gc.get ()) with minor_heap_size = loop_minor_heap_words }
+  end
 
 let add_conn t fd mode =
   Unix.set_nonblock fd;
@@ -330,9 +352,11 @@ let rec accept_all t lfd kind =
          Metrics.incr t.metrics "conn_limit_rejections";
          try Unix.close fd with _ -> ())
        | `Protocol ->
+         use_small_minor_heap t;
          Metrics.incr t.metrics "tcp_connections";
          ignore (add_conn t fd Sniffing)
        | `Http ->
+         use_small_minor_heap t;
          Metrics.incr t.metrics "http_connections";
          ignore (add_conn t fd Http_mode));
     accept_all t lfd kind
@@ -449,6 +473,8 @@ let create ?backend ?(max_connections = 1024) ?(max_outbox_bytes = 16 lsl 20)
     wake_w;
     max_connections;
     max_outbox_bytes;
+    read_buf = Bytes.create 16384;
+    small_minor_heap = false;
     quiescing = Atomic.make false;
     stopping = Atomic.make false;
     listeners_closed = false;

@@ -10,7 +10,13 @@
     written from the loop's outbox and the connection closed.  A
     [`Protocol] listener (TCP) keeps its connections on the loop: a
     {!Framer} per connection turns the bytes into frames, each handed
-    to [on_request], which queues it for a worker.  At most one frame
+    to [on_request], which queues it for a worker.  Every read lands in
+    one 16 KiB buffer the loop owns, which {!Framer.feed} copies out of,
+    so no read allocates a buffer.  The first loop-served (TCP or HTTP)
+    connection shrinks the loop domain's minor heap to 128 KiB (other
+    domains keep the runtime's 2 MiB): once requests leave no
+    major-heap garbage, the loop's frequent small collections are what
+    keep the workers' minor heaps from filling.  At most one frame
     per connection is in flight at a time, which preserves the
     protocol's reply-ordering guarantee; further pipelined frames wait
     in the read buffer.  A connection whose read buffer outgrows the

@@ -30,7 +30,13 @@ type t
 val create : unit -> t
 
 val feed : t -> Bytes.t -> int -> unit
-(** [feed t b n] appends the first [n] bytes of [b]. *)
+(** [feed t b n] appends a copy of the first [n] bytes of [b], so the
+    caller may reuse [b] as soon as [feed] returns: the event loop
+    reads every connection it serves into one buffer, a Unix worker
+    each connection into one.  A line fed in pieces costs time and memory
+    linear in its length: the buffer doubles as it fills, the newline
+    search resumes where it stopped, and a drained buffer over 64 KiB
+    is released. *)
 
 val feed_eof : t -> unit
 (** The peer will send nothing more. *)

@@ -389,21 +389,22 @@ let scrape_float ~field s =
     done;
     float_of_string_opt (String.sub s start (!stop - start))
 
+let baseline_scaleup s =
+  match scrape_float ~field:"scaleup" s with
+  | Some want -> Ok want
+  | None -> Error "tcp loadgen guard: baseline has no \"scaleup\" field"
+
 let check ~baseline r =
   let total_failures = r.single.failures + r.loaded.failures in
   if total_failures > 0 then
     Error
       (Printf.sprintf "tcp loadgen guard: %d failed requests (want 0)"
          total_failures)
-  else
-    match scrape_float ~field:"scaleup" baseline with
-    | None -> Error "tcp loadgen guard: baseline has no \"scaleup\" field"
-    | Some want ->
-      (* Same-host ratio guard, kernel-bench style: fail only when the
-         concurrency scaleup collapses below half its baseline. *)
-      if r.scaleup < want /. 2.0 then
-        Error
-          (Printf.sprintf
-             "tcp loadgen guard: scaleup %.2fx below half the baseline %.2fx"
-             r.scaleup want)
-      else Ok ()
+  else if r.scaleup < baseline /. 2.0 then
+    (* Same-host ratio guard, kernel-bench style: fail only when the
+       concurrency scaleup collapses below half its baseline. *)
+    Error
+      (Printf.sprintf
+         "tcp loadgen guard: scaleup %.2fx below half the baseline %.2fx"
+         r.scaleup baseline)
+  else Ok ()

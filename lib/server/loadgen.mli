@@ -73,7 +73,10 @@ val run : config -> (report, string) result
 val to_json : generated_at:string -> report -> string
 (** The BENCH_tcp.json artifact body (newline-terminated). *)
 
-val check : baseline:string -> report -> (unit, string) result
-(** The [--check-tcp] CI guard against the contents of
-    [bench/tcp_baseline.json]: every request must have succeeded, and
-    the measured scaleup must be at least half the baseline's. *)
+val baseline_scaleup : string -> (float, string) result
+(** The committed scaleup in the contents of [bench/tcp_baseline.json]. *)
+
+val check : baseline:float -> report -> (unit, string) result
+(** The [--check-tcp] CI guard against {!baseline_scaleup}: every
+    request must have succeeded, and the measured scaleup must be at
+    least half the baseline's. *)

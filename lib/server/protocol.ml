@@ -234,32 +234,68 @@ let analysis_key = function
 let max_line_bytes = 1 lsl 20
 
 (* Replies are framed by line count, so no payload byte may introduce a
-   line or field separator. *)
-let sanitize s =
-  String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
+   line or field separator: tabs, newlines and CRs become spaces as [s]
+   is copied into [b] at [pos].  Like the writers below, it returns the
+   position after the piece. *)
+let put_sanitized s b pos =
+  for i = 0 to String.length s - 1 do
+    Bytes.unsafe_set b (pos + i)
+      (match String.unsafe_get s i with '\t' | '\n' | '\r' -> ' ' | c -> c)
+  done;
+  pos + String.length s
 
 let retry_hint_prefix = "retry_after_ms="
 
-let encode_reply = function
+let put s b pos =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let put_char c b pos =
+  Bytes.unsafe_set b pos c;
+  pos + 1
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* [n >= 0] in decimal, its last digit at [i]. *)
+let rec put_digits n b i =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then put_digits (n / 10) b (i - 1)
+
+let rec pairs_length acc = function
+  | [] -> acc
+  | (k, v) :: rest -> pairs_length (acc + String.length k + String.length v + 2) rest
+
+let rec put_pairs b pos = function
+  | [] -> pos
+  | (k, v) :: rest ->
+    let pos = put_char '\t' b (put_sanitized k b pos) in
+    put_pairs b (put_char '\n' b (put_sanitized v b pos)) rest
+
+(* A reply is encoded into one string of exactly its size: the length
+   is summed first, then every piece is copied into place.  A cached
+   KCORE or COVER reply is 2-3 KB, past the minor heap's 256-word
+   object limit, so each intermediate copy — a growing buffer, a
+   sanitized key or value, the ITEM prefix joined on afterwards —
+   would be one more major-heap allocation per request. *)
+let encode_reply ?(prefix = "") = function
   | Ok kvs ->
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf (Printf.sprintf "OK %d\n" (List.length kvs));
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf (sanitize k);
-        Buffer.add_char buf '\t';
-        Buffer.add_string buf (sanitize v);
-        Buffer.add_char buf '\n')
-      kvs;
-    Buffer.contents buf
+    let n = List.length kvs in
+    let d = digits n in
+    let b = Bytes.create (pairs_length (String.length prefix + 4 + d) kvs) in
+    let pos = put "OK " b (put prefix b 0) + d in
+    put_digits n b (pos - 1);
+    ignore (put_pairs b (put_char '\n' b pos) kvs);
+    Bytes.unsafe_to_string b
   | Err { code; message; retry_after_ms } ->
     let hint =
       match retry_after_ms with
       | None -> ""
       | Some ms -> Printf.sprintf "%s%d " retry_hint_prefix ms
     in
-    Printf.sprintf "ERR %s %s%s\n" (error_code_to_string code) hint
-      (sanitize message)
+    let head = Printf.sprintf "%sERR %s %s" prefix (error_code_to_string code) hint in
+    let b = Bytes.create (String.length head + String.length message + 1) in
+    ignore (put_char '\n' b (put_sanitized message b (put head b 0)));
+    Bytes.unsafe_to_string b
 
 (* Batched replies interleave a tag line before each sub-reply:
    ITEM <i>, then the standard OK/ERR framing for item i.  Items are

@@ -167,8 +167,12 @@ val error_code_to_string : error_code -> string
 
 val error_code_of_string : string -> error_code option
 
-val encode_reply : reply -> string
-(** Full reply text including the trailing newline. *)
+val encode_reply : ?prefix:string -> reply -> string
+(** Full reply text including the trailing newline, behind [prefix]
+    (default [""]; a BATCH item passes its [ITEM i] line and newline).
+    Tabs, newlines and CRs in keys, values and messages become spaces.
+    An [Ok] reply is built in one allocation: its length is summed
+    first, then one string of exactly that size is filled. *)
 
 val decode_reply : string -> (reply, string) result
 (** Inverse of [encode_reply] (modulo key/value sanitization). *)

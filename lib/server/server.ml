@@ -479,6 +479,18 @@ let epoch_gauges t =
       (e.Registry.digest, float_of_int e.Registry.state.Registry.epoch))
     (Registry.list t.registry)
 
+(* The OCaml runtime's collection counts and major-heap size, so two
+   scrapes give collections per request without restarting hgd under
+   OCAMLRUNPARAM. *)
+let gc_gauges () =
+  let s = Gc.quick_stat () in
+  [
+    ("gc_minor_collections", s.Gc.minor_collections);
+    ("gc_major_collections", s.Gc.major_collections);
+    ("gc_heap_words", s.Gc.heap_words);
+    ("gc_top_heap_words", s.Gc.top_heap_words);
+  ]
+
 (* Point-in-time values the Metrics store does not own, appended to
    both exposition formats. *)
 let server_gauges t =
@@ -493,6 +505,7 @@ let server_gauges t =
     ("uptime_seconds", Unix.gettimeofday () -. t.started_at);
     ("tcp_open_connections", float_of_int (Event_loop.connections t.loop));
   ]
+  @ List.map (fun (k, v) -> (k, float_of_int v)) (gc_gauges ())
 
 (* The one Prometheus rendering, shared by the protocol's
    [METRICS prom] and HTTP [GET /metrics]. *)
@@ -526,6 +539,7 @@ let metrics_reply t (fmt : P.metrics_format) : P.reply =
           ("queue_limit", string_of_int t.config.queue_limit);
           ("uptime_s", Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started_at));
         ]
+      @ List.map (fun (k, v) -> (k, string_of_int v)) (gc_gauges ())
       @ List.map
           (fun (digest, epoch) ->
             (* Table form flattens the label into the key; the digest
@@ -735,7 +749,8 @@ let send_reply t ~write slot (t0, tr) reply =
         "request"
   in
   match
-    Trace.timed tr Trace.Write (fun () -> write (slot.prefix ^ P.encode_reply reply))
+    Trace.timed tr Trace.Write (fun () ->
+        write (P.encode_reply ~prefix:slot.prefix reply))
   with
   | () -> account status
   | exception e ->
@@ -893,10 +908,11 @@ let serve_connection t (fd, accepted_at) =
      an idle keep-alive connection notices shutdown promptly. *)
   (try Unix.setsockopt_float fd SO_RCVTIMEO 0.25 with _ -> ());
   let input = Framer.create () in
+  (* [Framer.feed] copies, so one buffer serves every read. *)
+  let buf = Bytes.create 4096 in
   let rec next_frame () =
     match Framer.frame input with
     | `Await -> (
-      let buf = Bytes.create 4096 in
       match Unix.read fd buf 0 (Bytes.length buf) with
       | 0 ->
         Framer.feed_eof input;

@@ -179,6 +179,71 @@ let prop_reply_roundtrip =
     (QCheck.make ~print:P.encode_reply reply_gen)
     (fun reply -> P.decode_reply (P.encode_reply reply) = Ok reply)
 
+(* The one-allocation encoder against the Buffer encoder it replaced,
+   kept here as the reference: [encode_reply ~prefix r] is [prefix]
+   followed by the reference bytes.  Keys, values and messages carry
+   tabs, newlines and CRs; replies include an empty [Ok []] and
+   errors with and without a retry hint. *)
+let reference_encode =
+  let sanitize = String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) in
+  function
+  | P.Ok kvs ->
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf (Printf.sprintf "OK %d\n" (List.length kvs));
+    List.iter
+      (fun (k, v) ->
+        Buffer.add_string buf (sanitize k);
+        Buffer.add_char buf '\t';
+        Buffer.add_string buf (sanitize v);
+        Buffer.add_char buf '\n')
+      kvs;
+    Buffer.contents buf
+  | P.Err { code; message; retry_after_ms } ->
+    let hint =
+      match retry_after_ms with
+      | None -> ""
+      | Some ms -> Printf.sprintf "retry_after_ms=%d " ms
+    in
+    Printf.sprintf "ERR %s %s%s\n" (P.error_code_to_string code) hint
+      (sanitize message)
+
+let hostile_reply_gen =
+  QCheck.Gen.(
+    let text =
+      string_size ~gen:(oneofl [ 'a'; 'Z'; '7'; ' '; '='; '\t'; '\n'; '\r' ]) (int_range 0 40)
+    in
+    oneof
+      [
+        return (P.Ok []);
+        map (fun kvs -> P.Ok kvs) (list_size (int_range 1 12) (pair text text));
+        (* Long values: the cached KCORE member list is 2.4 KB. *)
+        map (fun kvs -> P.Ok kvs)
+          (list_size (int_range 1 3)
+             (pair text (string_size ~gen:(oneofl [ 'x'; ' '; '\t' ]) (int_range 0 3000))));
+        map3
+          (fun code retry_after_ms message -> P.Err { code; message; retry_after_ms })
+          (oneofl
+             [ P.Bad_request; P.Unknown_dataset; P.Parse_error; P.Io_error;
+               P.Timeout; P.Busy; P.Internal ])
+          (oneof [ return None; map Option.some (int_range 0 1_000_000) ])
+          text;
+      ])
+
+let prop_encode_matches_reference =
+  QCheck.Test.make ~name:"protocol: encode_reply ~prefix = prefix ^ reference"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (prefix, r) ->
+         match r with
+         | P.Ok kvs ->
+           Printf.sprintf "%S Ok [%s]" prefix
+             (String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%S, %S" k v) kvs))
+         | P.Err { message; _ } -> Printf.sprintf "%S Err %S" prefix message)
+       QCheck.Gen.(pair (oneofl [ ""; "ITEM 0\n"; "ITEM 1023\n" ]) hostile_reply_gen))
+    (fun (prefix, r) ->
+      P.encode_reply ~prefix r = prefix ^ reference_encode r
+      && P.encode_reply r = reference_encode r)
+
 (* The framer's cheap BATCH check agrees with the full parser: verbs
    in any case, repeated, leading and trailing spaces, tabs and CRs,
    edge counts, non-integers and extra tokens. *)
@@ -1033,6 +1098,72 @@ let test_mutation_durability () =
       let m = expect_ok "metrics" (Client.request c (P.Metrics P.Table)) in
       checks "epoch gauge keeps counting" "3" (List.assoc (epoch_key ()) m))
 
+(* The runtime's GC figures ride on METRICS in both formats.  The
+   server runs in this process, so a collection forced here must show
+   in the next scrape, and the collection counts never fall between
+   two scrapes with requests between them.  (OCaml 5 sums the heap
+   figures over domains' sampled statistics, so even the top-heap
+   figure may dip; those are only checked to be there.) *)
+let test_gc_gauges () =
+  with_server (fun dir socket_path ->
+      let data = Filename.concat dir "tiny.hg" in
+      write_file data tiny_hg;
+      let c = connect socket_path in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let digest = List.assoc "digest" (expect_ok "load" (Client.request c (P.Load data))) in
+      let names =
+        [ "gc_minor_collections"; "gc_major_collections"; "gc_heap_words"; "gc_top_heap_words" ]
+      in
+      let scrape () =
+        let table = expect_ok "metrics" (Client.request c (P.Metrics P.Table)) in
+        let prom =
+          List.map snd (expect_ok "metrics prom" (Client.request c (P.Metrics P.Prometheus)))
+        in
+        List.map
+          (fun name ->
+            let t =
+              match List.assoc_opt name table with
+              | Some v -> int_of_string v
+              | None -> Alcotest.failf "table lacks %s" name
+            in
+            let metric = "hgd_" ^ name in
+            checkb (metric ^ " typed gauge") true
+              (List.mem ("# TYPE " ^ metric ^ " gauge") prom);
+            let p =
+              match
+                List.find_map
+                  (fun l ->
+                    match String.split_on_char ' ' l with
+                    | [ m; v ] when m = metric -> Some (int_of_string v)
+                    | _ -> None)
+                  prom
+              with
+              | Some v -> v
+              | None -> Alcotest.failf "prom lacks %s" metric
+            in
+            (name, t, p))
+          names
+      in
+      let before = scrape () in
+      for k = 0 to 99 do
+        ignore
+          (expect_ok "kcore"
+             (Client.request c
+                (P.Analyze { dataset = digest; analysis = P.Kcore (Some (k mod 3)) })))
+      done;
+      Gc.full_major ();
+      let after = scrape () in
+      (* Scrape order: table, prom, requests and a full major, table,
+         prom. *)
+      List.iter2
+        (fun (name, t0, p0) (_, t1, p1) ->
+          match name with
+          | "gc_heap_words" | "gc_top_heap_words" -> checkb (name ^ " positive") true (t1 > 0)
+          | _ ->
+            checkb (name ^ " never falls") true (t0 <= p0 && p0 <= t1 && t1 <= p1);
+            checkb (name ^ ": the forced collection shows") true (p0 < t1))
+        before after)
+
 let () =
   Alcotest.run "hp_server"
     [
@@ -1045,6 +1176,7 @@ let () =
           Th.prop prop_request_roundtrip;
           Th.prop prop_reply_roundtrip;
           Th.prop prop_batch_header;
+          Th.prop prop_encode_matches_reference;
         ] );
       ( "registry",
         [
@@ -1073,5 +1205,6 @@ let () =
             test_warm_restart;
           Alcotest.test_case "mutation durability across restarts" `Quick
             test_mutation_durability;
+          Alcotest.test_case "gc gauges in both metrics formats" `Quick test_gc_gauges;
         ] );
     ]

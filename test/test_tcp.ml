@@ -641,6 +641,84 @@ let test_batch_same_bytes () =
         (expect_ok "daemon still serving"
            (Client.with_connection ~socket_path (fun c -> Client.request c P.Ping))))
 
+(* ---------- one loop read buffer, many connections ---------- *)
+
+(* The event loop reads every connection into one buffer, so the
+   framer must own its copy of each read.  Eight connections each send
+   two distinct BATCH frames of more than 16 KiB (one loop read),
+   whose items echo long connection-specific names back in their
+   errors, cut into pieces interleaved across the connections.  Each
+   must read exactly the bytes it reads alone. *)
+let test_shared_read_buffer () =
+  with_tcp_server ~cache:0 (fun ~dir ~socket_path:_ ~t:_ ~port ->
+      let digest = load_dataset ~via:(tcp_addr port) dir in
+      let rng = Random.State.make [| 2004 |] in
+      let name () =
+        String.init 1400 (fun _ ->
+            "abcdefghijklmnopqrstuvwxyz0123456789".[Random.State.int rng 36])
+      in
+      let batch () =
+        let items =
+          List.init 16 (fun i ->
+              if i mod 4 = 0 then Printf.sprintf "KCORE %s %d" digest (i mod 3)
+              else "KCORE " ^ name ())
+        in
+        let frame =
+          String.concat "\n" (Printf.sprintf "BATCH %d" (List.length items) :: items) ^ "\n"
+        in
+        checkb "frame past one read" true (String.length frame > 16384);
+        frame
+      in
+      let streams = Array.init 8 (fun _ -> batch () ^ batch ()) in
+      let pieces s =
+        let rec go from acc =
+          if from >= String.length s then List.rev acc
+          else
+            let n = min (String.length s - from) (1 + Random.State.int rng 6000) in
+            go (from + n) (String.sub s from n :: acc)
+        in
+        go 0 []
+      in
+      let alone =
+        Array.map
+          (fun s ->
+            let fd = raw_tcp port in
+            Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> exchange fd [ s ]))
+          streams
+      in
+      let fds = Array.init 8 (fun _ -> raw_tcp port) in
+      Fun.protect
+        ~finally:(fun () -> Array.iter Unix.close fds)
+        (fun () ->
+          let queues = Array.map pieces streams in
+          let rec interleave () =
+            let sent = ref false in
+            Array.iteri
+              (fun i q ->
+                match q with
+                | [] -> ()
+                | p :: rest ->
+                  sent := true;
+                  Netaddr.write_all fds.(i) p;
+                  queues.(i) <- rest)
+              queues;
+            if !sent then begin
+              Unix.sleepf 0.0005;
+              interleave ()
+            end
+          in
+          interleave ();
+          Array.iter (fun fd -> Unix.shutdown fd Unix.SHUTDOWN_SEND) fds;
+          let together = Array.map recv_all fds in
+          Array.iteri
+            (fun i reply ->
+              checki (Printf.sprintf "conn %d: 32 items answered" i) 32
+                (List.length
+                   (List.filter (starts_with ~prefix:"ITEM ")
+                      (String.split_on_char '\n' reply)));
+              checks (Printf.sprintf "conn %d: same bytes as alone" i) reply together.(i))
+            alone))
+
 (* ---------- framer fuzz: a split stream frames like the whole one ---------- *)
 
 (* Requests whose replies do not move between runs (no clock, no
@@ -796,6 +874,33 @@ let test_framer_cap () =
   feed_string fr "x";
   checkb "past the cap: refused" true (Framer.frame fr = `Oversized)
 
+(* A line of exactly the cap fed in 4 KiB pieces (the Unix worker's
+   and the client's read size) frames once, and feeding it costs
+   allocation linear in its length. *)
+let test_framer_long_line () =
+  let max = P.max_line_bytes in
+  let piece = Bytes.make 4096 'x' in
+  let newline = Bytes.make 1 '\n' in
+  let fr = Framer.create () in
+  let before = Gc.allocated_bytes () in
+  let rec feed left =
+    if left > 0 then begin
+      let n = min left (Bytes.length piece) in
+      Framer.feed fr piece n;
+      if Framer.frame fr <> `Await then Alcotest.fail "framed before the newline";
+      feed (left - n)
+    end
+  in
+  feed max;
+  Framer.feed fr newline 1;
+  let got = Framer.frame fr in
+  let ratio = (Gc.allocated_bytes () -. before) /. float_of_int max in
+  (match got with
+  | `Frame (Framer.Single l) -> checki "one frame, the whole line" max (String.length l)
+  | _ -> Alcotest.fail "expected one frame");
+  checkb "nothing after it" true (Framer.frame fr = `Await);
+  checkb (Printf.sprintf "allocated %.1fx the line, under 8x" ratio) true (ratio < 8.0)
+
 (* ---------- HTTP sniff: a request line cut anywhere ---------- *)
 
 let test_http_sniff_cuts () =
@@ -908,12 +1013,15 @@ let () =
             test_framer_fuzz;
           Alcotest.test_case "start/stop race, pings answered" `Quick
             test_start_stop_race;
+          Alcotest.test_case "one read buffer, interleaved BATCH frames" `Quick
+            test_shared_read_buffer;
         ] );
       ( "framer",
         [
           QCheck_alcotest.to_alcotest test_framer_split_whole;
           Alcotest.test_case "EOF rules" `Quick test_framer_eof_rules;
           Alcotest.test_case "line cap" `Quick test_framer_cap;
+          Alcotest.test_case "long line in 4 KiB pieces" `Quick test_framer_long_line;
         ] );
       ( "http",
         [

@@ -20,7 +20,7 @@
      --check-maint fail if the E26 cluster cascade's median speedup
                    over a full re-peel per mutation fell below half of
                    bench/maint_baseline.json, or if on the rewiring
-                   stream the full re-peel's median is below 0.8x the
+                   stream the full re-peel's median is below 0.9x the
                    maintained repair's *)
 
 module H = Hp_hypergraph.Hypergraph
@@ -66,7 +66,10 @@ let check_inc = Array.exists (( = ) "--check-inc") Sys.argv
    exists to beat it: half-the-baseline check against
    bench/maint_baseline.json.  On the rewiring stream most repairs
    re-peel anyway, so maintenance must not cost more than re-peeling:
-   an absolute 0.8x floor. *)
+   an absolute 0.9x floor.  The maintainer re-peels from the overlap
+   graph it keeps, so its median sits above the oracle's, which counts
+   every pair: 20 runs read 1.01-1.20x, and the floor leaves a tenth
+   below the lowest of them. *)
 let check_maint = Array.exists (( = ) "--check-maint") Sys.argv
 
 (* Minimal numeric field scrape for committed baseline files — the
@@ -2153,10 +2156,10 @@ let maint_bench () =
   write_maint_json ~cluster ~rewiring ~rewiring_seed;
   if check_maint then begin
     let rewiring_ratio = rewiring.med_repeel_s /. rewiring.med_maint_s in
-    if rewiring_ratio < 0.8 then begin
+    if rewiring_ratio < 0.9 then begin
       Printf.eprintf
         "E26 guard: on the rewiring stream the full re-peel's median is \
-         only %.2fx the maintained repair's (floor 0.8x)\n"
+         only %.2fx the maintained repair's (floor 0.9x)\n"
         rewiring_ratio;
       exit 1
     end;
@@ -2186,7 +2189,7 @@ let maint_bench () =
         else
           Printf.printf
             "E26 guard: ok (cluster %.1fx vs baseline %.1fx; rewiring %.2fx, \
-             floor 0.8x)\n"
+             floor 0.9x)\n"
             speedup want rewiring_ratio)
   end
 

@@ -20,6 +20,17 @@ let build_index = function
     Array.iteri (fun i name -> if not (Hashtbl.mem idx name) then Hashtbl.add idx name i) names;
     Some idx
 
+let of_csr_unchecked ?vertex_names ?edge_names ~n_vertices ~edges ~vadj () =
+  {
+    nv = n_vertices;
+    edges;
+    vadj;
+    vertex_names;
+    edge_names;
+    vertex_index = lazy (build_index vertex_names);
+    edge_index = lazy (build_index edge_names);
+  }
+
 let of_arrays ?vertex_names ?edge_names ~n_vertices members =
   if n_vertices < 0 then invalid_arg "Hypergraph: negative vertex count";
   (match vertex_names with
@@ -56,15 +67,7 @@ let of_arrays ?vertex_names ?edge_names ~n_vertices members =
     edges;
   (* Edge ids were appended in increasing order, so vadj rows are
      already sorted. *)
-  {
-    nv = n_vertices;
-    edges;
-    vadj;
-    vertex_names;
-    edge_names;
-    vertex_index = lazy (build_index vertex_names);
-    edge_index = lazy (build_index edge_names);
-  }
+  of_csr_unchecked ?vertex_names ?edge_names ~n_vertices ~edges ~vadj ()
 
 (* Constructor for loaders that already hold both incidence directions
    (the snapshot store).  Skips the sort of [of_arrays] but still
@@ -141,15 +144,7 @@ let of_csr_exn ?(rows_validated = false) ?vertex_names ?edge_names ~n_vertices
       if c <> Array.length vadj.(v) then
         invalid_arg "Hypergraph: vadj disagrees with incidence")
     cursor;
-  {
-    nv = n_vertices;
-    edges;
-    vadj;
-    vertex_names;
-    edge_names;
-    vertex_index = lazy (build_index vertex_names);
-    edge_index = lazy (build_index edge_names);
-  }
+  of_csr_unchecked ?vertex_names ?edge_names ~n_vertices ~edges ~vadj ()
 
 let create ?vertex_names ?edge_names ~n_vertices members =
   of_arrays ?vertex_names ?edge_names ~n_vertices

@@ -56,12 +56,42 @@ type state = {
   vdeg : int array;
   edeg : int array;
   overlap : csr option;                   (* [None] for [Naive] *)
+  abuf : int array;                       (* [delete_vertex]'s scratch *)
   mutable on_vertex_degree : int -> unit; (* fires after a degree drop *)
   mutable on_edge_delete : int -> unit;
   mutable vdel : int;
   mutable edel : int;
   mutable checks : int;
 }
+
+(* Twin slots of a CSR whose slices are sorted: visiting each pair
+   (f, g), f < g, in ascending f, g's slots for partners below g come
+   up in slice order, so one cursor per slice pairs every slot with
+   its mirror.  Shared by the two ways a graph is made: counted from
+   scratch ([build_csr]) or advanced from the previous one
+   ([advance_overlap]). *)
+let link_twins ~adj_off ~adj ~twin =
+  let m = Array.length adj_off - 1 in
+  let pos = Array.sub adj_off 0 (max m 1) in
+  for f = 0 to m - 1 do
+    for s = adj_off.(f) to adj_off.(f + 1) - 1 do
+      let g = adj.(s) in
+      if g > f then begin
+        let sg = pos.(g) in
+        pos.(g) <- sg + 1;
+        twin.(s) <- sg;
+        twin.(sg) <- s
+      end
+    done
+  done
+
+(* Slice offsets from per-hyperedge partner counts. *)
+let offsets deg m =
+  let adj_off = Array.make (m + 1) 0 in
+  for f = 0 to m - 1 do
+    adj_off.(f + 1) <- adj_off.(f) + deg.(f)
+  done;
+  adj_off
 
 (* CSR assembly from {!Hypergraph_reduce.overlap_pairs}: degree count,
    offset prefix sum, symmetric fill.  Pairs arrive in ascending key
@@ -78,10 +108,7 @@ let build_csr ~domains h =
     deg.(f) <- deg.(f) + 1;
     deg.(g) <- deg.(g) + 1
   done;
-  let adj_off = Array.make (m + 1) 0 in
-  for f = 0 to m - 1 do
-    adj_off.(f + 1) <- adj_off.(f) + deg.(f)
-  done;
+  let adj_off = offsets deg m in
   let total = adj_off.(m) in
   let adj = Array.make (max total 1) 0 in
   let ocount = Array.make (max total 1) 0 in
@@ -96,11 +123,126 @@ let build_csr ~domains h =
     adj.(sf) <- g;
     adj.(sg) <- f;
     ocount.(sf) <- c;
-    ocount.(sg) <- c;
-    twin.(sf) <- sg;
-    twin.(sg) <- sf
+    ocount.(sg) <- c
   done;
+  link_twins ~adj_off ~adj ~twin;
   { adj_off; adj; ocount; twin }
+
+type overlap = csr
+
+let overlap_graph ?(domains = 1) h = build_csr ~domains h
+
+(* Hyperedges never change their members, so a pair of survivors
+   keeps its count, and renumbering a slice through the monotone
+   old-to-new map keeps it sorted.  Only an added hyperedge's pairs
+   are new: counted from its members' incidence rows in [after], they
+   make its own slice and are appended to its surviving partners'
+   slices, above every survivor id and in ascending order. *)
+let advance_overlap g ~origin after =
+  let fail what = invalid_arg ("Hypergraph_core.advance_overlap: " ^ what) in
+  let m_old = Array.length g.adj_off - 1 and m = H.n_edges after in
+  if Array.length origin <> m then fail "origin length";
+  let nsurv = ref 0 in
+  while !nsurv < m && origin.(!nsurv) >= 0 do
+    incr nsurv
+  done;
+  let nsurv = !nsurv in
+  let renum = Array.make (max m_old 1) (-1) in
+  for j = 0 to m - 1 do
+    let o = origin.(j) in
+    if j >= nsurv then (if o <> -1 then fail "added hyperedges must take the top ids")
+    else if o >= m_old || (j > 0 && o <= origin.(j - 1)) then
+      fail "origin not increasing"
+    else renum.(o) <- j
+  done;
+  (* A survivor loses one slot per deleted partner: read off the
+     deleted hyperedges' slices, not every slice. *)
+  let deg = Array.make (max m 1) 0 in
+  for j = 0 to nsurv - 1 do
+    let o = origin.(j) in
+    deg.(j) <- g.adj_off.(o + 1) - g.adj_off.(o)
+  done;
+  for d = 0 to m_old - 1 do
+    if renum.(d) < 0 then
+      for s = g.adj_off.(d) to g.adj_off.(d + 1) - 1 do
+        let p = renum.(g.adj.(s)) in
+        if p >= 0 then deg.(p) <- deg.(p) - 1
+      done
+  done;
+  let cnt = Array.make (max m 1) 0 in
+  let touched = U.Dynarray.create ~dummy:0 () in
+  let added =
+    Array.init (m - nsurv) (fun a ->
+        let f = nsurv + a in
+        U.Dynarray.clear touched;
+        Array.iter
+          (fun v ->
+            Array.iter
+              (fun p ->
+                if p <> f then begin
+                  if cnt.(p) = 0 then U.Dynarray.push touched p;
+                  cnt.(p) <- cnt.(p) + 1
+                end)
+              (H.vertex_edges after v))
+          (H.edge_members after f);
+        let partners = U.Dynarray.to_array touched in
+        Array.sort Int.compare partners;
+        let counts =
+          Array.map
+            (fun p ->
+              let c = cnt.(p) in
+              cnt.(p) <- 0;
+              if p < nsurv then deg.(p) <- deg.(p) + 1;
+              c)
+            partners
+        in
+        deg.(f) <- Array.length partners;
+        (partners, counts))
+  in
+  let adj_off = offsets deg m in
+  let total = adj_off.(m) in
+  let adj = Array.make (max total 1) 0 in
+  let ocount = Array.make (max total 1) 0 in
+  let twin = Array.make (max total 1) 0 in
+  let pos = Array.sub adj_off 0 (max m 1) in
+  for j = 0 to nsurv - 1 do
+    let o = origin.(j) in
+    let s' = ref adj_off.(j) in
+    for s = g.adj_off.(o) to g.adj_off.(o + 1) - 1 do
+      let p = renum.(g.adj.(s)) in
+      if p >= 0 then begin
+        adj.(!s') <- p;
+        ocount.(!s') <- g.ocount.(s);
+        incr s'
+      end
+    done;
+    pos.(j) <- !s'
+  done;
+  let put f p c =
+    let s = pos.(f) in
+    pos.(f) <- s + 1;
+    adj.(s) <- p;
+    ocount.(s) <- c
+  in
+  Array.iteri
+    (fun a (partners, counts) ->
+      let f = nsurv + a in
+      Array.iteri
+        (fun i p ->
+          put f p counts.(i);
+          if p < nsurv then put p f counts.(i))
+        partners)
+    added;
+  link_twins ~adj_off ~adj ~twin;
+  { adj_off; adj; ocount; twin }
+
+let equal_overlap a b =
+  let total = a.adj_off.(Array.length a.adj_off - 1) in
+  let prefix x = Array.sub x 0 total in
+  a.adj_off = b.adj_off
+  && prefix a.adj = prefix b.adj
+  && prefix a.ocount = prefix b.ocount
+  && prefix a.twin = prefix b.twin
 
 (* Slot of partner [g] in [f]'s slice, or -1: binary search over the
    sorted slice. *)
@@ -129,23 +271,30 @@ let dec_overlap c f g =
       c.ocount.(c.twin.(s)) <- n - 1
   end
 
-let init ~strategy ~domains h =
+let imax (a : int) b = if a >= b then a else b
+
+let state_of h overlap =
+  let vdeg = H.vertex_degrees h in
   {
     h;
     valive = Array.make (H.n_vertices h) true;
     ealive = Array.make (H.n_edges h) true;
-    vdeg = H.vertex_degrees h;
+    vdeg;
     edeg = H.edge_sizes h;
-    overlap =
-      (match strategy with
-      | Naive -> None
-      | Overlap -> Some (build_csr ~domains h));
+    overlap;
+    abuf = Array.make (Array.fold_left imax 1 vdeg) 0;
     on_vertex_degree = ignore;
     on_edge_delete = ignore;
     vdel = 0;
     edel = 0;
     checks = 0;
   }
+
+let init ~strategy ~domains h =
+  state_of h
+    (match strategy with
+    | Naive -> None
+    | Overlap -> Some (build_csr ~domains h))
 
 (* Is the alive, non-empty hyperedge f contained in an alive partner g
    that wins the tie-break (larger, or as large with a smaller id)?
@@ -243,29 +392,43 @@ let drop_non_maximal st =
 let delete_vertex st v =
   st.valive.(v) <- false;
   st.vdel <- st.vdel + 1;
-  let affected = ref [] in
-  Array.iter
-    (fun e -> if st.ealive.(e) then affected := e :: !affected)
-    (H.vertex_edges st.h v);
-  let affected = !affected in
+  (* The alive hyperedges of v, collected into the state's buffer in
+     descending id order: the order their maximality is checked in
+     below, which decides which of two equal restrictions survives.
+     Nothing below re-enters [delete_vertex], so one buffer serves. *)
+  let affected = st.abuf in
+  let row = H.vertex_edges st.h v in
+  let n = ref 0 in
+  for i = Array.length row - 1 downto 0 do
+    let e = Array.unsafe_get row i in
+    if st.ealive.(e) then begin
+      affected.(!n) <- e;
+      incr n
+    end
+  done;
+  let n = !n in
   (* Overlap bookkeeping: every pair of alive edges containing v loses
      one common vertex. *)
   (match st.overlap with
   | None -> ()
   | Some c ->
-    let rec pairs = function
-      | [] -> ()
-      | f :: rest ->
-        List.iter (fun g -> dec_overlap c f g) rest;
-        pairs rest
-    in
-    pairs affected);
+    for i = 0 to n - 2 do
+      let f = affected.(i) in
+      for j = i + 1 to n - 1 do
+        dec_overlap c f affected.(j)
+      done
+    done);
   (* [valive.(v)] is already down, so the flag-filtered member views
      exclude v; only the degree counters need the explicit update. *)
-  List.iter (fun f -> st.edeg.(f) <- st.edeg.(f) - 1) affected;
+  for i = 0 to n - 1 do
+    let f = affected.(i) in
+    st.edeg.(f) <- st.edeg.(f) - 1
+  done;
   (* Only hyperedges whose degree was just decremented can have become
      non-maximal (paper Section 3). *)
-  List.iter (fun f -> check_maximality st f) affected
+  for i = 0 to n - 1 do
+    check_maximality st affected.(i)
+  done
 
 let alive_ids flags =
   let buf = U.Dynarray.create ~dummy:0 () in
@@ -389,13 +552,13 @@ let decompose_iterated ?(strategy = Overlap) ?(domains = 1)
    ({!Hypergraph_maintain}) resumes from. *)
 let canonical_drain ~deadline st ~level0 ~vertex_core ~record_edge =
   let nv = Array.length st.valive in
-  let stride = max nv 1 in
-  let key = Array.make (max nv 1) 0 in
+  let stride = imax nv 1 in
+  let key = Array.make stride 0 in
   let heap = U.Int_heap.create ~capacity:(nv + 16) () in
   let level = ref level0 in
   for v = 0 to nv - 1 do
     if st.valive.(v) then begin
-      let k = max st.vdeg.(v) level0 in
+      let k = imax st.vdeg.(v) level0 in
       key.(v) <- k;
       U.Int_heap.push heap ((k * stride) + v)
     end
@@ -404,35 +567,34 @@ let canonical_drain ~deadline st ~level0 ~vertex_core ~record_edge =
     (fun w ->
       (* Degree below the current level cannot lower the core number
          any further; clamp so the key stays monotone. *)
-      let k = max st.vdeg.(w) !level in
+      let k = imax st.vdeg.(w) !level in
       if k < key.(w) then begin
         key.(w) <- k;
         U.Int_heap.push heap ((k * stride) + w)
       end);
   st.on_edge_delete <- (fun f -> record_edge f !level);
-  let continue = ref true in
-  while !continue do
-    match U.Int_heap.pop_min heap with
-    | None -> continue := false
-    | Some packed ->
-      let k = packed / stride and v = packed mod stride in
-      if st.valive.(v) && key.(v) = k then begin
-        U.Deadline.check deadline;
-        U.Fault.point "core.peel";
-        if k > !level then level := k;
-        vertex_core.(v) <- !level;
-        delete_vertex st v
-      end
+  (* Packed entries are non-negative, so -1 means the heap is empty. *)
+  let packed = ref (U.Int_heap.pop_min_or heap (-1)) in
+  while !packed >= 0 do
+    let k = !packed / stride and v = !packed mod stride in
+    if st.valive.(v) && key.(v) = k then begin
+      U.Deadline.check deadline;
+      U.Fault.point "core.peel";
+      if k > !level then level := k;
+      vertex_core.(v) <- !level;
+      delete_vertex st v
+    end;
+    packed := U.Int_heap.pop_min_or heap (-1)
   done;
   !level
 
-(* The one-pass sweep, also returning the peeling state so callers
-   ([max_core]) can surface its counters without a second peel. *)
-let decompose_onepass_state ~strategy ~domains ~deadline h =
-  let nv = H.n_vertices h and m = H.n_edges h in
+(* The one-pass sweep of a fresh peeling state, also returning the
+   state so callers ([max_core]) can surface its counters without a
+   second peel. *)
+let onepass ~deadline st =
+  let nv = H.n_vertices st.h and m = H.n_edges st.h in
   let vertex_core = Array.make nv 0 in
   let edge_core = Array.make m (-1) in
-  let st = init ~strategy ~domains h in
   drop_non_maximal st;
   (* Hyperedges surviving reduction are at least in the 0-core; the
      dropped ones keep -1. *)
@@ -448,6 +610,16 @@ let decompose_onepass_state ~strategy ~domains ~deadline h =
       ~record_edge:(fun f lvl -> edge_core.(f) <- lvl)
   in
   ({ vertex_core; edge_core; max_core }, st)
+
+let decompose_onepass_state ~strategy ~domains ~deadline h =
+  onepass ~deadline (init ~strategy ~domains h)
+
+let decompose_over ?(deadline = U.Deadline.never) g h =
+  if Array.length g.adj_off <> H.n_edges h + 1 then
+    invalid_arg "Hypergraph_core.decompose_over: graph of another hypergraph";
+  (* The drain lowers pair counts as it peels: it gets its own copy,
+     and shares the slices, offsets and twins, which it only reads. *)
+  fst (onepass ~deadline (state_of h (Some { g with ocount = Array.copy g.ocount })))
 
 let resume_peel ?(strategy = Overlap) ?(domains = 1)
     ?(deadline = U.Deadline.never) ~level h =

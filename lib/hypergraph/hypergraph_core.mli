@@ -16,9 +16,10 @@
     CSR overlap graph — per-edge partner slices with parallel count
     and twin-slot arrays, built once per peel by parallel sort-based
     counting ({!Hypergraph_reduce.overlap_pairs}, DESIGN.md section
-    10) — so the per-deletion bookkeeping is array scans and a binary
-    search.  The [Naive] strategy re-scans member lists instead; it is
-    the oracle for differential testing and the E11/E22 benches.
+    10), or advanced from a kept one ({!advance_overlap}) — so the
+    per-deletion bookkeeping is array scans and a binary search.  The
+    [Naive] strategy re-scans member lists instead; it is the oracle
+    for differential testing and the E11/E22 benches.
 
     Every peel reduces the input inside its peeling state: before
     the peel starts, the non-maximal hyperedges are deleted from the
@@ -121,6 +122,47 @@ val decompose_onepass :
     deleted once, and the core numbers fall out of the deletion
     levels.  Agrees with [decompose_iterated] (property-tested)
     at a fraction of the cost for deep cores. *)
+
+(** {1 The overlap graph, kept across peels}
+
+    The maintainer ({!Hypergraph_maintain}) keeps the overlap graph of
+    the hypergraph it last peeled and starts every full re-peel from
+    it, instead of recounting every pair.  There is one builder
+    ({!overlap_graph}), one advance ({!advance_overlap}) and one drain
+    ({!decompose_over}); {!decompose} still builds its own graph. *)
+
+type overlap
+(** The static overlap graph of a hypergraph: per-hyperedge partner
+    slices, sorted, with each pair's shared-vertex count and the slot
+    of its mirror in the partner's slice.  Never mutated once built. *)
+
+val overlap_graph : ?domains:int -> Hypergraph.t -> overlap
+(** Count every overlapping pair ({!Hypergraph_reduce.overlap_pairs})
+    and assemble the graph: what every [Overlap] peel builds first.
+    The result does not depend on [domains] (default 1). *)
+
+val advance_overlap : overlap -> origin:int array -> Hypergraph.t -> overlap
+(** [advance_overlap g ~origin after] is [overlap_graph after], given
+    [g], the graph of a hypergraph [after] descends from by hyperedge
+    appends and deletions (vertex appends change no pair).
+    [origin.(j)] is the id in [g]'s hypergraph of [after]'s hyperedge
+    [j], or [-1] for one added since: survivors keep their relative
+    order and added hyperedges take the top ids, as in
+    {!Hypergraph_maintain.apply_batch}.  Surviving pairs keep their
+    counts; only added hyperedges' pairs are counted, from their
+    members' incidence rows.  O(pairs + the added hyperedges'
+    two-step neighbourhoods).  [g] is left as it is.  Raises
+    [Invalid_argument] when [origin] is not of that shape. *)
+
+val equal_overlap : overlap -> overlap -> bool
+(** Same slices, counts and twin slots. *)
+
+val decompose_over :
+  ?deadline:Hp_util.Deadline.t -> overlap -> Hypergraph.t -> decomposition
+(** [decompose_over g h] is [decompose ~domains:1 h] for [g] the
+    overlap graph of [h], without recounting the pairs: the drain gets
+    a copy of [g]'s counts and leaves [g] as it is.  Raises
+    [Invalid_argument] when [g] has a different hyperedge count. *)
 
 val resume_peel :
   ?strategy:strategy ->

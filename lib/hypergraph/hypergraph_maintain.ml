@@ -23,28 +23,101 @@
    could act as a containment witness mid-peel (DESIGN.md section 15
    gives the argument).  Bit-identity with the full one-pass sweep
    remains the invariant, asserted after every mutation by the
-   differential suite (test_kcore_inc.ml). *)
+   differential suite (test_kcore_inc.ml).
+
+   Every full re-peel starts from the overlap graph of the hypergraph
+   the maintainer last peeled, advanced through the hyperedge ids the
+   bursts since then have shifted ({!Hypergraph_core.advance_overlap}),
+   instead of recounting every pair.  A burst the cascade repairs only
+   replays its ops over the graph's id map, so it pays nothing
+   O(pairs). *)
 
 module U = Hp_util
 module H = Hypergraph
 module HC = Hypergraph_core
+
+type reason =
+  | Swallow
+  | Resurface
+  | Entangled
+  | New_member
+  | Empty_edge
+  | Zero_floor
+  | Budget
+
+let reasons =
+  [ Swallow; Resurface; Entangled; New_member; Empty_edge; Zero_floor; Budget ]
+
+let reason_name = function
+  | Swallow -> "swallow"
+  | Resurface -> "resurface"
+  | Entangled -> "entangled"
+  | New_member -> "new_member"
+  | Empty_edge -> "empty_edge"
+  | Zero_floor -> "zero_floor"
+  | Budget -> "budget"
 
 type stats = {
   mutable cascade_repairs : int;
   mutable repair_visited : int;
   mutable full_repeels : int;
   mutable budget_fallbacks : int;
+  mutable swallow_repeels : int;
+  mutable resurface_repeels : int;
+  mutable entangled_repeels : int;
+  mutable new_member_repeels : int;
+  mutable empty_edge_repeels : int;
+  mutable zero_floor_repeels : int;
 }
 
-type outcome = Cascade of int | Repeel
+let repeels s = function
+  | Swallow -> s.swallow_repeels
+  | Resurface -> s.resurface_repeels
+  | Entangled -> s.entangled_repeels
+  | New_member -> s.new_member_repeels
+  | Empty_edge -> s.empty_edge_repeels
+  | Zero_floor -> s.zero_floor_repeels
+  | Budget -> s.budget_fallbacks
+
+type outcome = Cascade of int | Repeel of reason
 
 type op = Op_add_vertex | Op_add_edge | Op_del_edge of int
+
+module Origin = struct
+  type t = int U.Dynarray.t
+
+  let reset d n =
+    U.Dynarray.clear d;
+    for i = 0 to n - 1 do
+      U.Dynarray.push d i
+    done
+
+  (* Room for a burst's appends without a regrowth. *)
+  let start n =
+    let d = U.Dynarray.create ~capacity:(n + 16) ~dummy:0 () in
+    reset d n;
+    d
+
+  let length = U.Dynarray.length
+  let add d = U.Dynarray.push d (-1)
+
+  let delete d k =
+    let o = U.Dynarray.get d k in
+    U.Dynarray.remove d k;
+    o
+
+  let to_array = U.Dynarray.to_array
+end
 
 type t = {
   budget : int;
   mutable h : H.t;
   mutable dec : HC.decomposition;
   mutable empty_edges : int;
+  mutable graph : HC.overlap;  (* of the hypergraph last peeled *)
+  graph_ids : Origin.t;
+      (* current hyperedge id -> its id in [graph]'s hypergraph, -1 for
+         one added since *)
   stats : stats;
 }
 
@@ -58,17 +131,26 @@ let count_empty h =
 let default_budget = 4096
 
 let create ?(budget = default_budget) h =
+  let graph = HC.overlap_graph h in
   {
     budget;
     h;
-    dec = HC.decompose ~domains:1 h;
+    dec = HC.decompose_over graph h;
     empty_edges = count_empty h;
+    graph;
+    graph_ids = Origin.start (H.n_edges h);
     stats =
       {
         cascade_repairs = 0;
         repair_visited = 0;
         full_repeels = 0;
         budget_fallbacks = 0;
+        swallow_repeels = 0;
+        resurface_repeels = 0;
+        entangled_repeels = 0;
+        new_member_repeels = 0;
+        empty_edge_repeels = 0;
+        zero_floor_repeels = 0;
       };
   }
 
@@ -76,12 +158,83 @@ let decomposition t = t.dec
 let hypergraph t = t.h
 let stats t = t.stats
 
-let repeel t after =
-  t.dec <- HC.decompose ~domains:1 after;
+let overlap t =
+  HC.advance_overlap t.graph ~origin:(Origin.to_array t.graph_ids) t.h
+
+(* The full re-peel, from the kept overlap graph advanced to [after]
+   ([graph] instead, when the burst's ids are unknown). *)
+let repeel ?graph t after reason =
+  let graph =
+    match graph with
+    | Some g -> g
+    | None ->
+      HC.advance_overlap t.graph ~origin:(Origin.to_array t.graph_ids) after
+  in
+  t.dec <- HC.decompose_over graph after;
   t.h <- after;
+  t.graph <- graph;
+  Origin.reset t.graph_ids (H.n_edges after);
   t.empty_edges <- count_empty after;
-  t.stats.full_repeels <- t.stats.full_repeels + 1;
-  Repeel
+  let s = t.stats in
+  s.full_repeels <- s.full_repeels + 1;
+  (match reason with
+  | Swallow -> s.swallow_repeels <- s.swallow_repeels + 1
+  | Resurface -> s.resurface_repeels <- s.resurface_repeels + 1
+  | Entangled -> s.entangled_repeels <- s.entangled_repeels + 1
+  | New_member -> s.new_member_repeels <- s.new_member_repeels + 1
+  | Empty_edge -> s.empty_edge_repeels <- s.empty_edge_repeels + 1
+  | Zero_floor -> s.zero_floor_repeels <- s.zero_floor_repeels + 1
+  | Budget -> s.budget_fallbacks <- s.budget_fallbacks + 1);
+  Repeel reason
+
+(* The id bookkeeping of one burst, replayed over [Origin]: [origin]
+   maps each hyperedge of [after] to its pre-burst id (-1 for one the
+   burst added, all of them on top), [deleted] marks the pre-burst
+   hyperedges the burst deleted, and [entangled] says it deleted one
+   it had added itself.  The same ops advance [t.graph_ids], so a
+   burst costs the kept graph's map nothing O(E) beyond the shifts of
+   its deletions.  [None] when the ops do not lead from the
+   maintainer's hypergraph to [after] (the re-peel then counts a
+   fresh graph and restarts the map). *)
+type burst = {
+  origin : int array;
+  deleted : bool array;
+  added : int;
+  entangled : bool;
+}
+
+let replay_burst t ~after ~ops =
+  let ne_old = H.n_edges t.h in
+  let ids = Origin.start ne_old in
+  let deleted = Array.make (max ne_old 1) false in
+  let entangled = ref false and in_range = ref true in
+  let new_vertices = ref 0 and added = ref 0 in
+  List.iter
+    (function
+      | Op_add_vertex -> incr new_vertices
+      | Op_add_edge ->
+        Origin.add ids;
+        Origin.add t.graph_ids;
+        incr added
+      | Op_del_edge k ->
+        if k < 0 || k >= Origin.length ids then in_range := false
+        else begin
+          ignore (Origin.delete t.graph_ids k);
+          let o = Origin.delete ids k in
+          if o >= 0 then deleted.(o) <- true
+          else begin
+            entangled := true;
+            decr added
+          end
+        end)
+    ops;
+  let origin = Origin.to_array ids in
+  if
+    !in_range
+    && Array.length origin = H.n_edges after
+    && H.n_vertices after = H.n_vertices t.h + !new_vertices
+  then Some { origin; deleted; added = !added; entangled = !entangled }
+  else None
 
 exception Blown
 
@@ -108,69 +261,43 @@ let scratch ~nv ~ne =
   s
 
 (* The cascade rung of [apply_batch] (a single mutation is a batch of
-   one).  [after] is the maintainer's hypergraph with [ops] applied in
-   order (appends at the end, deletes shifting later ids down).
+   one).  [after] is the maintainer's hypergraph with the burst [b]
+   applied (appends at the end, deletes shifting later ids down).
    Returns [`Applied outcome] when the cascade repaired the
-   decomposition, [`Bail] when no sound band floor exists
+   decomposition, [`Bail reason] when no sound band floor exists
    (reduction-level structural change, an entangled burst, or the
    floor reached 0), and [`Blown] when the bounded region exceeded the
    budget. *)
-let cascade_apply t ~after ~ops =
+let cascade_apply t ~after b =
   let vc = t.dec.HC.vertex_core and ec = t.dec.HC.edge_core in
   let nv_old = H.n_vertices t.h and ne_old = H.n_edges t.h in
   let nv_after = H.n_vertices after and ne_after = H.n_edges after in
-  (* --- replay the op sequence over edge-id origins --- *)
-  let origin = U.Dynarray.create ~capacity:(max 16 ne_after) ~dummy:0 () in
-  for i = 0 to ne_old - 1 do
-    U.Dynarray.push origin i
-  done;
-  let del_old = Array.make (max ne_old 1) false in
-  let n_new = ref 0 and n_new_vertices = ref 0 in
-  let structural = ref false in
-  List.iter
-    (fun op ->
-      match op with
-      | Op_add_vertex -> incr n_new_vertices
-      | Op_add_edge ->
-        U.Dynarray.push origin (-1 - !n_new);
-        incr n_new
-      | Op_del_edge k ->
-        if k < 0 || k >= U.Dynarray.length origin then structural := true
-        else begin
-          let o = U.Dynarray.get origin k in
-          if o >= 0 then del_old.(o) <- true
-          else
-            (* Deleting an edge added earlier in the same batch: the
-               origin bookkeeping could cope, but the add-side caps
-               were computed against a hyperedge that no longer exists
-               — punt to the full re-peel. *)
-            structural := true;
-          U.Dynarray.remove origin k
-        end)
-    ops;
-  let final_origin = U.Dynarray.to_array origin in
-  if
-    !structural
-    || Array.length final_origin <> ne_after
-    || nv_after <> nv_old + !n_new_vertices
-  then `Bail
+  let final_origin = b.origin and del_old = b.deleted in
+  if b.entangled then
+    (* Deleting an edge added earlier in the same batch: the origin
+       bookkeeping copes, but the add-side caps would be computed
+       against a hyperedge that no longer exists — punt to the full
+       re-peel. *)
+    `Bail Entangled
   else begin
-    let nsurv = ne_after - !n_new in
-    let doomed = Array.make (max !n_new 1) false in
+    let n_new = b.added in
+    let nsurv = ne_after - n_new in
+    let doomed = Array.make (max n_new 1) false in
     let s = scratch ~nv:(max nv_old nv_after) ~ne:(max ne_old ne_after) in
     let b = ref max_int in
-    let bail = ref false in
+    let bail = ref None in
     (* --- added hyperedges: reduce-level dooming, structural bails,
        member floor and mid-peel swallow caps --- *)
-    for j = 0 to !n_new - 1 do
-      if not !bail then begin
+    for j = 0 to n_new - 1 do
+      if Option.is_none !bail then begin
         let ef = nsurv + j in
         let fm = H.edge_members after ef in
-        if Array.length fm = 0 || Array.exists (fun v -> v >= nv_old) fm then
-          (* Empty hyperedges flip the global reduce rule; members
-             created in the same batch have no core number to bound
-             the band with.  Both are full-re-peel territory. *)
-          bail := true
+        (* Empty hyperedges flip the global reduce rule; members
+           created in the same batch have no core number to bound the
+           band with.  Both are full-re-peel territory. *)
+        if Array.length fm = 0 then bail := Some Empty_edge
+        else if Array.exists (fun v -> v >= nv_old) fm then
+          bail := Some New_member
         else begin
           (* Doomed at reduce iff some other hyperedge of [after]
              contains it (with the (size, id) tie-break; containment
@@ -213,7 +340,7 @@ let cascade_apply t ~after ~ops =
                             if s.vstamp.(w) = ep then incr inside
                             else outside_max := max !outside_max vc.(w))
                           gm;
-                        if !inside = Array.length gm then bail := true
+                        if !inside = Array.length gm then bail := Some Swallow
                         else if ec.(o) >= !outside_max then
                           b := min !b !outside_max
                       end
@@ -227,7 +354,7 @@ let cascade_apply t ~after ~ops =
     (* --- deleted hyperedges: resurface bails, member floor with
        multiplicity, and witness caps --- *)
     let del_count = Hashtbl.create 16 in
-    if not !bail then
+    if Option.is_none !bail then
       for e = 0 to ne_old - 1 do
         if del_old.(e) && ec.(e) >= 0 then
           Array.iter
@@ -237,7 +364,7 @@ let cascade_apply t ~after ~ops =
             (H.edge_members t.h e)
       done;
     for e = 0 to ne_old - 1 do
-      if (not !bail) && del_old.(e) && ec.(e) >= 0 then begin
+      if Option.is_none !bail && del_old.(e) && ec.(e) >= 0 then begin
         let em = H.edge_members t.h e in
         s.epoch <- s.epoch + 1;
         let ep = s.epoch in
@@ -260,7 +387,7 @@ let cascade_apply t ~after ~ops =
                     if U.Sorted.subset gm em then
                       (* g (alive or reduce-doomed) sits inside e:
                          deleting e can resurface it at reduce. *)
-                      bail := true
+                      bail := Some Resurface
                     else if ec.(g) >= 0 && ec.(g) <= ec.(e) then begin
                       (* e was a feasible containment witness at g's
                          death level: every member of g still alive at
@@ -280,8 +407,9 @@ let cascade_apply t ~after ~ops =
           em
       end
     done;
-    if !bail then `Bail
-    else begin
+    match !bail with
+    | Some reason -> `Bail reason
+    | None ->
       (* --- seeds: everything whose sweep-from-B can differ --- *)
       let seed_vs = U.Dynarray.create ~dummy:0 () in
       let seed_es = U.Dynarray.create ~dummy:0 () in
@@ -289,7 +417,7 @@ let cascade_apply t ~after ~ops =
         if del_old.(e) && ec.(e) >= 0 then
           Array.iter (fun v -> U.Dynarray.push seed_vs v) (H.edge_members t.h e)
       done;
-      for j = 0 to !n_new - 1 do
+      for j = 0 to n_new - 1 do
         if not doomed.(j) then U.Dynarray.push seed_es (nsurv + j)
       done;
       let ec_final =
@@ -318,7 +446,7 @@ let cascade_apply t ~after ~ops =
         t.stats.cascade_repairs <- t.stats.cascade_repairs + 1;
         `Applied (Cascade 0)
       end
-      else if !b <= 0 then `Bail
+      else if !b <= 0 then `Bail Zero_floor
       else begin
         let bf = !b in
         (* --- region: overlap component(s) of the seeds inside the
@@ -332,7 +460,7 @@ let cascade_apply t ~after ~ops =
         let visits = ref 0 in
         let in_boundary_e j =
           let o = final_origin.(j) in
-          if o >= 0 then ec.(o) >= bf else not doomed.(-1 - o)
+          if o >= 0 then ec.(o) >= bf else not doomed.(j - nsurv)
         in
         let push_v v =
           if s.vstamp.(v) <> ep && v < nv_old && vc.(v) >= bf then begin
@@ -394,7 +522,6 @@ let cascade_apply t ~after ~ops =
           t.stats.repair_visited <- t.stats.repair_visited + visited;
           `Applied (Cascade visited)
       end
-    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -411,19 +538,24 @@ let append_vertices t ~after n =
   t.stats.repair_visited <- t.stats.repair_visited + n;
   Cascade n
 
-(* The ladder: cascade, else one full re-peel.  A blown budget is the
-   one bail also counted in [budget_fallbacks]. *)
+(* The ladder: cascade, else one full re-peel, counted under the one
+   reason the cascade could not go on. *)
 let apply_batch t ~after ~ops =
   if List.for_all (( = ) Op_add_vertex) ops then
     append_vertices t ~after (List.length ops)
-  else if t.empty_edges > 0 then repeel t after
   else
-    match cascade_apply t ~after ~ops with
-    | `Applied o -> o
-    | `Bail -> repeel t after
-    | `Blown ->
-      t.stats.budget_fallbacks <- t.stats.budget_fallbacks + 1;
-      repeel t after
+    match replay_burst t ~after ~ops with
+    | None ->
+      (* The ops do not lead to [after]: no id map, so count the
+         graph afresh. *)
+      repeel ~graph:(HC.overlap_graph after) t after Entangled
+    | Some b -> (
+      if t.empty_edges > 0 then repeel t after Empty_edge
+      else
+        match cascade_apply t ~after b with
+        | `Applied o -> o
+        | `Bail reason -> repeel t after reason
+        | `Blown -> repeel t after Budget)
 
 let add_vertex t ~after = apply_batch t ~after ~ops:[ Op_add_vertex ]
 let add_edge t ~after = apply_batch t ~after ~ops:[ Op_add_edge ]

@@ -392,17 +392,23 @@ let unknown_dataset_reply ds kind =
   | `Ambiguous ->
     P.err P.Unknown_dataset (Printf.sprintf "ambiguous digest prefix %S" ds)
 
+(* The counter of the re-peels taken for one reason, in METRICS and
+   INFO alike. *)
+let repeel_counter reason =
+  "kcore_repeels_" ^ Hp_hypergraph.Hypergraph_maintain.reason_name reason
+
 (* Repair accounting: cascades and full re-peels get distinct
-   counters, and the region size feeds the [kcore_repair_visited]
-   value histogram so the distribution (not just the total) is
-   observable. *)
+   counters, each re-peel is also counted under its reason, and the
+   region size feeds the [kcore_repair_visited] value histogram so the
+   distribution (not just the total) is observable. *)
 let count_repair t (repair : Hp_hypergraph.Hypergraph_maintain.outcome) =
   match repair with
   | Hp_hypergraph.Hypergraph_maintain.Cascade visited ->
     Metrics.incr t.metrics "kcore_cascade_repairs";
     Metrics.observe_value t.metrics "kcore_repair_visited" visited
-  | Hp_hypergraph.Hypergraph_maintain.Repeel ->
-    Metrics.incr t.metrics "kcore_full_repeels"
+  | Hp_hypergraph.Hypergraph_maintain.Repeel reason ->
+    Metrics.incr t.metrics "kcore_full_repeels";
+    Metrics.incr t.metrics (repeel_counter reason)
 
 (* Apply a run of mutations on one dataset — a lone mutation request is
    a run of one — through one [Registry.mutate_batch]: one lock
@@ -481,7 +487,10 @@ let epoch_gauges t =
 
 (* The OCaml runtime's collection counts and major-heap size, so two
    scrapes give collections per request without restarting hgd under
-   OCAMLRUNPARAM. *)
+   OCAMLRUNPARAM.  The collection counts never fall.  The two heap
+   figures do not promise that: OCaml 5.1's [Gc.quick_stat] sums them
+   over the domains' sampled statistics, so [gc_top_heap_words] is no
+   high-water mark and can read lower at a later scrape. *)
 let gc_gauges () =
   let s = Gc.quick_stat () in
   [
@@ -562,6 +571,7 @@ let info_reply t : P.reply =
   let maintained = ref 0 in
   let casc = ref 0 and full = ref 0 in
   let fallbacks = ref 0 and visited = ref 0 in
+  let by_reason = List.map (fun r -> (r, ref 0)) HM.reasons in
   List.iter
     (fun (e : Registry.entry) ->
       match e.Registry.maint with
@@ -572,27 +582,34 @@ let info_reply t : P.reply =
         casc := !casc + s.HM.cascade_repairs;
         full := !full + s.HM.full_repeels;
         fallbacks := !fallbacks + s.HM.budget_fallbacks;
-        visited := !visited + s.HM.repair_visited)
+        visited := !visited + s.HM.repair_visited;
+        List.iter (fun (r, n) -> n := !n + HM.repeels s r) by_reason)
     (Registry.list t.registry);
+  let repeels =
+    List.map (fun (r, n) -> (repeel_counter r, string_of_int !n)) by_reason
+  in
   P.Ok
-    [
-      ("kcore_budget", string_of_int HM.default_budget);
-      ("kcore_cascade_repairs", string_of_int !casc);
-      ("kcore_full_repeels", string_of_int !full);
-      ("kcore_budget_fallbacks", string_of_int !fallbacks);
-      ("kcore_repair_visited_total", string_of_int !visited);
-      ("datasets_maintained", string_of_int !maintained);
-      ("datasets_resident",
-       string_of_int (List.length (Registry.list t.registry)));
-      ("workers", string_of_int t.config.workers);
-      ("compute_domains", string_of_int t.config.compute_domains);
-      ("cache_capacity", string_of_int (Result_cache.capacity t.cache));
-      ("request_timeout_s", Printf.sprintf "%.1f" t.config.request_timeout);
-      ("wal_checkpoint_every", string_of_int t.config.wal_checkpoint_every);
-      ("max_batch_items", string_of_int P.max_batch_items);
-      ("uptime_s",
-       Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started_at));
-    ]
+    ([
+       ("kcore_budget", string_of_int HM.default_budget);
+       ("kcore_cascade_repairs", string_of_int !casc);
+       ("kcore_full_repeels", string_of_int !full);
+     ]
+    @ repeels
+    @ [
+        ("kcore_budget_fallbacks", string_of_int !fallbacks);
+        ("kcore_repair_visited_total", string_of_int !visited);
+        ("datasets_maintained", string_of_int !maintained);
+        ("datasets_resident",
+         string_of_int (List.length (Registry.list t.registry)));
+        ("workers", string_of_int t.config.workers);
+        ("compute_domains", string_of_int t.config.compute_domains);
+        ("cache_capacity", string_of_int (Result_cache.capacity t.cache));
+        ("request_timeout_s", Printf.sprintf "%.1f" t.config.request_timeout);
+        ("wal_checkpoint_every", string_of_int t.config.wal_checkpoint_every);
+        ("max_batch_items", string_of_int P.max_batch_items);
+        ("uptime_s",
+         Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started_at));
+      ])
 
 let trace_reply t n : P.reply =
   let n = Option.value n ~default:10 in

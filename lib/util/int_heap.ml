@@ -40,8 +40,8 @@ let push t x =
   done;
   Array.unsafe_set a !i x
 
-let pop_min t =
-  if t.len = 0 then None
+let pop_min_or t empty =
+  if t.len = 0 then empty
   else begin
     let a = t.a in
     let top = a.(0) in
@@ -67,5 +67,5 @@ let pop_min t =
       end
     done;
     Array.unsafe_set a !i x;
-    Some top
+    top
   end

@@ -14,8 +14,11 @@ val create : ?capacity:int -> unit -> t
 
 val push : t -> int -> unit
 
-val pop_min : t -> int option
-(** Smallest entry, or [None] when empty. *)
+val pop_min_or : t -> int -> int
+(** [pop_min_or t empty] is the smallest entry, or [empty] when the
+    heap is empty.  It allocates nothing: the caller picks a sentinel
+    no entry can equal (the peel drivers' packed entries are
+    non-negative, so they pass [-1]). *)
 
 val length : t -> int
 val is_empty : t -> bool

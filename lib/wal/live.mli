@@ -14,7 +14,9 @@
 type t
 
 val of_hypergraph : Hp_hypergraph.Hypergraph.t -> t
-(** Copies the member arrays; the source hypergraph is not aliased. *)
+(** Adopts the hypergraph as the last published one and shares its
+    member rows (rows are never mutated; see
+    {!Hp_hypergraph.Hypergraph.edge_members}). *)
 
 val n_vertices : t -> int
 
@@ -31,10 +33,19 @@ val validate : t -> Wal.op -> (unit, string) result
 val apply_exn : t -> Wal.op -> int option
 (** Apply a {!validate}d op; returns the assigned dense id for adds,
     [None] for deletes.  Behaviour on an invalid op is unspecified
-    (may raise [Invalid_argument]). *)
+    (may raise [Invalid_argument]).  Touches no incidence row: an add
+    costs O(size of the hyperedge), a delete O(E) pointer moves. *)
 
 val apply : t -> Wal.op -> (int option, string) result
 (** [validate] then [apply_exn]. *)
 
 val to_hypergraph : t -> Hp_hypergraph.Hypergraph.t
-(** Materialize the current state (fresh arrays each call). *)
+(** Publish the current state as the successor of the last published
+    (or adopted) hypergraph, which it then becomes.  Member rows are
+    shared, vertex names too when no vertex was added, and the outer
+    arrays are copied: O(V + E) pointers.  An incidence row is rebuilt
+    only for a vertex of a hyperedge added, deleted or moved down since
+    the last publish, with no sort; every other row is shared.  Equal
+    to a rebuild of the same rows with
+    {!Hp_hypergraph.Hypergraph.of_arrays}, names included, and no
+    earlier hypergraph is changed. *)

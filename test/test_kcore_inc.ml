@@ -23,10 +23,14 @@
 
    The generator is the WAL crash suite's: valid by construction, so
    every prefix is a reachable server state.  Final states are also
-   cross-checked against decompose at 1, 2 and 7 domains.  Each
-   structural bail (a new complex containing a live one, a deletion
-   resurfacing a contained complex, a band floor of 0) also has a
-   hand-built case pinning it to exactly one full re-peel. *)
+   cross-checked against decompose at 1, 2 and 7 domains.  After every
+   mutation the maintainer's overlap graph, advanced to the current
+   hypergraph, must equal a fresh count of it at 1, 2 and 7 domains.
+   Each re-peel reason (a new complex containing a live one, a
+   deletion resurfacing a contained complex, a band floor of 0, an
+   entangled burst, a member created in the same burst, an empty
+   hyperedge, a blown budget) also has a hand-built case pinning it
+   to exactly one full re-peel counted under that reason. *)
 
 module W = Hp_wal.Wal
 module L = Hp_wal.Live
@@ -64,7 +68,20 @@ let gen_ops rng ~nv0 ~ne0 ?(empty_every = 0) n =
         W.Del_edge { edge = Prng.int rng (!ne + 1) }
       end)
 
+(* The graph the next re-peel starts from must be the one a fresh
+   count of the current hypergraph builds, at any domain count. *)
+let assert_overlap name maint =
+  let g = HM.overlap maint in
+  List.iter
+    (fun d ->
+      checkb
+        (Printf.sprintf "%s: kept overlap graph at %d domains" name d)
+        true
+        (HC.equal_overlap g (HC.overlap_graph ~domains:d (HM.hypergraph maint))))
+    [ 1; 2; 7 ]
+
 let assert_maintained name maint after =
+  assert_overlap name maint;
   let got = HM.decomposition maint in
   let want = HC.decompose ~domains:1 after in
   checkb (name ^ ": hypergraph") true
@@ -91,6 +108,12 @@ let assert_domains name maint =
         want.HC.edge_core got.HC.edge_core)
     [ 1; 2; 7 ]
 
+(* Every re-peel is counted under exactly one reason. *)
+let assert_reasons_sum name maint =
+  let s = HM.stats maint in
+  check (name ^ ": re-peels by reason sum to the re-peels") s.HM.full_repeels
+    (List.fold_left (fun acc r -> acc + HM.repeels s r) 0 HM.reasons)
+
 (* Replay [ops] through one maintainer, checking bit-identity after
    every mutation; returns the maintainer for stats assertions. *)
 let replay ?budget ?(base = HIO.of_string base_text) name ops =
@@ -109,6 +132,7 @@ let replay ?budget ?(base = HIO.of_string base_text) name ops =
       | W.Del_edge { edge } -> ignore (HM.del_edge maint ~after ~edge));
       assert_maintained (Printf.sprintf "%s op %d" name i) maint after)
     ops;
+  assert_reasons_sum name maint;
   maint
 
 let op_shape = function
@@ -144,6 +168,7 @@ let replay_batched ?budget ?(base = HIO.of_string base_text) name ~chunk ops =
       go (i + 1) tail
   in
   go 0 ops;
+  assert_reasons_sum name maint;
   maint
 
 let test_randomized_schedules () =
@@ -284,46 +309,77 @@ let test_batched_application () =
   done;
   checkb "batched cascades happened" true (!casc > 0)
 
-(* One op with no sound band floor: the cascade must bail to exactly
-   one full re-peel — not a budget fallback — and stay bit-identical. *)
-let assert_structural_bail name ~base op =
+(* A burst with no sound band floor: the cascade must bail to exactly
+   one full re-peel, counted under [reason] and no other, and stay
+   bit-identical. *)
+let assert_bail ?budget name ~base ~reason ops =
   let live = L.of_hypergraph base in
-  let maint = HM.create base in
-  (match L.apply live op with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "%s: %s" name m);
+  let maint = HM.create ?budget base in
+  List.iter
+    (fun op ->
+      match L.apply live op with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "%s: %s" name m)
+    ops;
   let after = L.to_hypergraph live in
-  let outcome =
-    match op with
-    | W.Add_vertex _ -> HM.add_vertex maint ~after
-    | W.Add_edge _ -> HM.add_edge maint ~after
-    | W.Del_edge { edge } -> HM.del_edge maint ~after ~edge
-  in
-  checkb (name ^ ": repeel") true (outcome = HM.Repeel);
-  check (name ^ ": one full re-peel") 1 (HM.stats maint).HM.full_repeels;
-  check (name ^ ": no budget fallback") 0
-    (HM.stats maint).HM.budget_fallbacks;
+  let outcome = HM.apply_batch maint ~after ~ops:(List.map op_shape ops) in
+  checkb
+    (Printf.sprintf "%s: re-peel for %s" name (HM.reason_name reason))
+    true (outcome = HM.Repeel reason);
+  let s = HM.stats maint in
+  check (name ^ ": one full re-peel") 1 s.HM.full_repeels;
+  List.iter
+    (fun r ->
+      check
+        (Printf.sprintf "%s: %s re-peels" name (HM.reason_name r))
+        (if r = reason then 1 else 0)
+        (HM.repeels s r))
+    HM.reasons;
   assert_maintained name maint after
 
 let test_add_swallow_bail () =
   (* The new complex {0,1,2,3} strictly contains the live {0,1,2} and
      {1,2,3}: it swallows them at reduction, so no floor is sound. *)
   let base = H.create ~n_vertices:5 [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [ 2; 3; 4 ] ] in
-  assert_structural_bail "add-swallow" ~base
-    (W.Add_edge { name = "big"; members = [| 0; 1; 2; 3 |] })
+  assert_bail "add-swallow" ~base ~reason:HM.Swallow
+    [ W.Add_edge { name = "big"; members = [| 0; 1; 2; 3 |] } ]
 
 let test_resurface_bail () =
   (* {1,2} is non-maximal inside {0,1,2,3}; deleting the container
      resurfaces it at reduction. *)
   let base = H.create ~n_vertices:5 [ [ 0; 1; 2; 3 ]; [ 1; 2 ]; [ 2; 3; 4 ] ] in
-  assert_structural_bail "resurface" ~base (W.Del_edge { edge = 0 })
+  assert_bail "resurface" ~base ~reason:HM.Resurface [ W.Del_edge { edge = 0 } ]
 
 let test_zero_floor_bail () =
   (* Vertices 5 and 6 are isolated (core 0), so an edge over them has
      band floor 0: nothing below it is provably unchanged. *)
   let base = H.create ~n_vertices:7 [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [ 2; 3; 4 ] ] in
-  assert_structural_bail "zero floor" ~base
-    (W.Add_edge { name = "iso"; members = [| 5; 6 |] })
+  assert_bail "zero floor" ~base ~reason:HM.Zero_floor
+    [ W.Add_edge { name = "iso"; members = [| 5; 6 |] } ]
+
+let test_other_bail_reasons () =
+  (* Two triangles of complexes: every vertex sits at core 2, so no
+     floor reaches 0 before the reason under test shows. *)
+  let base =
+    H.create ~n_vertices:6
+      [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [ 0; 2; 3 ]; [ 3; 4; 5 ]; [ 2; 4; 5 ] ]
+  in
+  assert_bail "entangled" ~base ~reason:HM.Entangled
+    [ W.Add_edge { name = "tmp"; members = [| 0; 1 |] }; W.Del_edge { edge = 5 } ];
+  assert_bail "new member" ~base ~reason:HM.New_member
+    [
+      W.Add_vertex { name = "fresh" };
+      W.Add_edge { name = "over-fresh"; members = [| 1; 6 |] };
+    ];
+  assert_bail "empty added" ~base ~reason:HM.Empty_edge
+    [ W.Add_edge { name = "empty"; members = [||] } ];
+  assert_bail "empty present"
+    ~base:(H.create ~n_vertices:4 [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [] ])
+    ~reason:HM.Empty_edge [ W.Del_edge { edge = 0 } ];
+  (* Budget 1: the region walk of a cascade that would otherwise go on
+     blows at its second visit. *)
+  assert_bail ~budget:1 "budget" ~base ~reason:HM.Budget
+    [ W.Add_edge { name = "cross"; members = [| 1; 4 |] } ]
 
 let test_isolating_delete () =
   (* DELEDGE of the last hyperedge containing a vertex: the vertex
@@ -433,6 +489,8 @@ let () =
             test_resurface_bail;
           Alcotest.test_case "zero floor bails to one re-peel" `Quick
             test_zero_floor_bail;
+          Alcotest.test_case "every other re-peel reason" `Quick
+            test_other_bail_reasons;
           Alcotest.test_case "isolating delete" `Quick test_isolating_delete;
           Alcotest.test_case "grow from empty" `Quick test_grow_from_empty;
           Alcotest.test_case "vertex burst is one O(1) cascade" `Quick

@@ -1048,6 +1048,16 @@ let test_mutation_durability () =
       check "rejects counted" 2 (count "mutation_rejects");
       check "one repair per mutation" 2
         (count "kcore_cascade_repairs" + count "kcore_full_repeels");
+      (* The edge over the isolated new vertex has a band floor of 0:
+         one re-peel, counted under that reason and no other. *)
+      check "one re-peel" 1 (count "kcore_full_repeels");
+      List.iter
+        (fun r ->
+          let name = Hp_hypergraph.Hypergraph_maintain.reason_name r in
+          check ("re-peels for " ^ name)
+            (if name = "zero_floor" then 1 else 0)
+            (count ("kcore_repeels_" ^ name)))
+        Hp_hypergraph.Hypergraph_maintain.reasons;
       check "no batch items" 0 (count "batch_items");
       checks "per-dataset epoch gauge" "2" (List.assoc (epoch_key ()) m);
       let prom =

@@ -519,7 +519,19 @@ let test_batched_mutations transport () =
       in
       (* 4 applied ops, but the first run's 3 cost one repair: at most
          2 repairs total (that run's plus the lone ADDVERTEX's). *)
-      checkb "burst amortized into one repair" true (repairs <= 2 && repairs >= 1))
+      checkb "burst amortized into one repair" true (repairs <= 2 && repairs >= 1);
+      (* INFO counts every re-peel under exactly one reason. *)
+      Alcotest.(check int) "re-peels by reason sum to the re-peels"
+        (int_of_string (List.assoc "kcore_full_repeels" info))
+        (List.fold_left
+           (fun acc r ->
+             acc
+             + int_of_string
+                 (List.assoc
+                    ("kcore_repeels_"
+                    ^ Hp_hypergraph.Hypergraph_maintain.reason_name r)
+                    info))
+           0 Hp_hypergraph.Hypergraph_maintain.reasons))
 
 (* ---------- SHUTDOWN over TCP stops the daemon cleanly ---------- *)
 

@@ -412,6 +412,112 @@ let test_live_semantics () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "negative edge accepted"
 
+(* Both incidence directions and both name arrays, compared exactly. *)
+let same_hypergraph a b =
+  let all n = List.init n Fun.id in
+  H.n_vertices a = H.n_vertices b
+  && H.n_edges a = H.n_edges b
+  && H.vertex_names_opt a = H.vertex_names_opt b
+  && H.edge_names_opt a = H.edge_names_opt b
+  && List.for_all
+       (fun e -> H.edge_members a e = H.edge_members b e)
+       (all (H.n_edges a))
+  && List.for_all
+       (fun v -> H.vertex_edges a v = H.vertex_edges b v)
+       (all (H.n_vertices a))
+
+(* Random bursts of ADDVERTEX/ADDEDGE/DELEDGE through Live, published
+   after each burst: every publish must equal [of_arrays] over the
+   same rows and names, and every earlier publish must still equal the
+   rebuild taken when it was published — publishing shares rows
+   between epochs, so a mutated row would show up there.  Deletes
+   strike the first id, the last id and ids the same burst added;
+   members repeat; hyperedges can be empty; some bursts only add
+   vertices and some are empty. *)
+let prop_delta_publish =
+  QCheck.Test.make ~name:"live: delta publish = rebuild, earlier epochs intact"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Hp_util.Prng.create seed in
+      let nv0 = Hp_util.Prng.int rng 6 in
+      let members () =
+        List.init (Hp_util.Prng.int rng 5) (fun _ -> Hp_util.Prng.int rng (max nv0 1))
+      in
+      let ne0 = Hp_util.Prng.int rng 6 in
+      let base_members = List.init ne0 (fun _ -> if nv0 = 0 then [] else members ()) in
+      let named = Hp_util.Prng.int rng 2 = 0 in
+      let base =
+        H.create
+          ?vertex_names:
+            (if named then Some (Array.init nv0 (Printf.sprintf "p%d")) else None)
+          ?edge_names:
+            (if named then Some (Array.init ne0 (Printf.sprintf "x%d")) else None)
+          ~n_vertices:nv0 base_members
+      in
+      let live = L.of_hypergraph base in
+      let vnames = ref (List.init nv0 (H.vertex_name base)) in
+      let edges =
+        ref (List.init ne0 (fun e -> (H.edge_name base e, H.edge_members base e)))
+      in
+      let rebuild () =
+        let es = Array.of_list !edges in
+        H.of_arrays
+          ~vertex_names:(Array.of_list !vnames)
+          ~edge_names:(Array.map fst es)
+          ~n_vertices:(List.length !vnames) (Array.map snd es)
+      in
+      let history = ref [] in
+      let ok = ref true in
+      for b = 0 to Hp_util.Prng.int rng 8 do
+        let vertex_only = Hp_util.Prng.int rng 5 = 0 in
+        let fresh = ref [] in  (* ids this burst added, kept through shifts *)
+        for i = 0 to Hp_util.Prng.int rng 5 - 1 do
+          let nv = List.length !vnames and ne = List.length !edges in
+          let pick = if vertex_only then 0 else Hp_util.Prng.int rng 10 in
+          let op =
+            if pick < 3 || (pick >= 7 && ne = 0) then
+              W.Add_vertex { name = Printf.sprintf "n%d.%d" b i }
+            else if pick < 7 then
+              W.Add_edge
+                {
+                  name = Printf.sprintf "y%d.%d" b i;
+                  members =
+                    Array.init
+                      (if nv = 0 then 0 else Hp_util.Prng.int rng 5)
+                      (fun _ -> Hp_util.Prng.int rng nv);
+                }
+            else
+              let edge =
+                match Hp_util.Prng.int rng 4, !fresh with
+                | 0, _ -> 0
+                | 1, _ -> ne - 1
+                | 2, (_ :: _ as f) -> List.nth f (Hp_util.Prng.int rng (List.length f))
+                | _ -> Hp_util.Prng.int rng ne
+              in
+              W.Del_edge { edge }
+          in
+          (match L.apply live op with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "seed %d: %s" seed m);
+          match op with
+          | W.Add_vertex { name } -> vnames := !vnames @ [ name ]
+          | W.Add_edge { name; members } ->
+            fresh := List.length !edges :: !fresh;
+            edges := !edges @ [ (name, members) ]
+          | W.Del_edge { edge } ->
+            fresh :=
+              List.filter_map
+                (fun j -> if j = edge then None else Some (if j > edge then j - 1 else j))
+                !fresh;
+            edges := List.filteri (fun j _ -> j <> edge) !edges
+        done;
+        let published = L.to_hypergraph live in
+        history := (published, rebuild ()) :: !history;
+        ok :=
+          !ok && List.for_all (fun (h, r) -> same_hypergraph h r) !history
+      done;
+      !ok)
+
 (* ---------- registry recovery ---------- *)
 
 let write_file path content =
@@ -532,6 +638,15 @@ let test_mutate_and_recover () =
   | None -> Alcotest.fail "no recovery info");
   assert_bit_identical "recovered state" oracle
     e2.Registry.state.Registry.hypergraph;
+  (* Recovery absorbed the log as one batch; the next re-peel must
+     start from the recovered hypergraph's overlap graph. *)
+  (match e2.Registry.maint with
+  | Some m ->
+    checkb "recovered overlap graph" true
+      (HC.equal_overlap
+         (Hp_hypergraph.Hypergraph_maintain.overlap m)
+         (HC.overlap_graph e2.Registry.state.Registry.hypergraph))
+  | None -> Alcotest.fail "recovery built no maintainer");
   (* Mutation continues the same epoch chain after recovery. *)
   let a = expect_mutate "post-recovery" r2 handle (W.Add_vertex { name = "g" }) in
   check "epoch continues" 4 a.Registry.epoch;
@@ -865,7 +980,10 @@ let () =
           Alcotest.test_case "bit-flip fuzz never raises" `Quick test_bitflip_fuzz;
         ] );
       ( "live",
-        [ Alcotest.test_case "op semantics" `Quick test_live_semantics ] );
+        [
+          Alcotest.test_case "op semantics" `Quick test_live_semantics;
+          QCheck_alcotest.to_alcotest prop_delta_publish;
+        ] );
       ( "registry",
         [
           Alcotest.test_case "mutate, evict, recover" `Quick

@@ -22,6 +22,7 @@ module P = Hp_server.Protocol
 module Server = Hp_server.Server
 module Client = Hp_server.Client
 module Registry = Hp_server.Registry
+module HM = Hp_hypergraph.Hypergraph_maintain
 module Prng = Hp_util.Prng
 
 let check = Alcotest.(check int)
@@ -215,6 +216,23 @@ let run_schedule i =
     assert_bit_identical
       (Printf.sprintf "schedule %d (epoch %d/%d)" i epoch n_ops)
       (oracle ops epoch) st.Registry.hypergraph;
+    (* Recovery absorbed the log as one batch: the maintained cores
+       and the overlap graph the next re-peel starts from must be
+       those of the recovered hypergraph. *)
+    (match (entry.Registry.maint, st.Registry.cores) with
+    | Some m, Some cores ->
+      let d = HC.decompose ~domains:1 st.Registry.hypergraph in
+      checkb
+        (Printf.sprintf "schedule %d: recovered cores" i)
+        true
+        (cores.HC.vertex_core = d.HC.vertex_core
+        && cores.HC.edge_core = d.HC.edge_core);
+      checkb
+        (Printf.sprintf "schedule %d: recovered overlap graph" i)
+        true
+        (HC.equal_overlap (HM.overlap m)
+           (HC.overlap_graph st.Registry.hypergraph))
+    | _ -> ());
     ignore (Registry.evict reg entry.Registry.digest);
     (epoch, n_ops)
 

@@ -64,15 +64,56 @@ type state = {
   mutable checks : int;
 }
 
+(* The scratch of a re-peel, kept by its caller across peels so that a
+   peel allocates only the arrays it returns ({!Hypergraph_maintain}
+   keeps one per maintainer).  Each array is grown to fit, with slack,
+   and never shrinks; a peel reads only the prefix it sized.  Nothing
+   here is ever returned to the caller. *)
+type workspace = {
+  mutable ocount_w : int array;  (* [decompose_over]'s working pair counts *)
+  mutable valive_w : bool array;
+  mutable ealive_w : bool array;
+  mutable vdeg_w : int array;
+  mutable edeg_w : int array;
+  mutable key_w : int array;     (* the drain's current keys *)
+  heap_w : U.Int_heap.t;         (* the drain's heap *)
+  mutable doomed_w : bool array; (* [drop_non_maximal]'s verdicts *)
+  mutable renum_w : int array;   (* [advance_overlap]'s per-hyperedge scratch *)
+  mutable deg_w : int array;
+  mutable cnt_w : int array;
+  mutable pos_w : int array;
+}
+
+let workspace () =
+  {
+    ocount_w = [||];
+    valive_w = [||];
+    ealive_w = [||];
+    vdeg_w = [||];
+    edeg_w = [||];
+    key_w = [||];
+    heap_w = U.Int_heap.create ();
+    doomed_w = [||];
+    renum_w = [||];
+    deg_w = [||];
+    cnt_w = [||];
+    pos_w = [||];
+  }
+
+(* [a] when it holds [n] entries, else a fresh array with slack. *)
+let fit a n x =
+  if Array.length a >= n then a else Array.make (n + (n lsr 3) + 16) x
+
 (* Twin slots of a CSR whose slices are sorted: visiting each pair
    (f, g), f < g, in ascending f, g's slots for partners below g come
    up in slice order, so one cursor per slice pairs every slot with
    its mirror.  Shared by the two ways a graph is made: counted from
    scratch ([build_csr]) or advanced from the previous one
-   ([advance_overlap]). *)
-let link_twins ~adj_off ~adj ~twin =
+   ([advance_overlap]).  [pos] is the caller's fill cursors, one per
+   hyperedge, free again by now. *)
+let link_twins ~pos ~adj_off ~adj ~twin =
   let m = Array.length adj_off - 1 in
-  let pos = Array.sub adj_off 0 (max m 1) in
+  Array.blit adj_off 0 pos 0 m;
   for f = 0 to m - 1 do
     for s = adj_off.(f) to adj_off.(f + 1) - 1 do
       let g = adj.(s) in
@@ -125,7 +166,7 @@ let build_csr ~domains h =
     ocount.(sf) <- c;
     ocount.(sg) <- c
   done;
-  link_twins ~adj_off ~adj ~twin;
+  link_twins ~pos ~adj_off ~adj ~twin;
   { adj_off; adj; ocount; twin }
 
 type overlap = csr
@@ -138,7 +179,7 @@ let overlap_graph ?(domains = 1) h = build_csr ~domains h
    are new: counted from its members' incidence rows in [after], they
    make its own slice and are appended to its surviving partners'
    slices, above every survivor id and in ascending order. *)
-let advance_overlap g ~origin after =
+let advance_overlap ?into ?ws g ~origin after =
   let fail what = invalid_arg ("Hypergraph_core.advance_overlap: " ^ what) in
   let m_old = Array.length g.adj_off - 1 and m = H.n_edges after in
   if Array.length origin <> m then fail "origin length";
@@ -147,7 +188,19 @@ let advance_overlap g ~origin after =
     incr nsurv
   done;
   let nsurv = !nsurv in
-  let renum = Array.make (max m_old 1) (-1) in
+  (* The first [n] entries of a workspace array, set to [x]. *)
+  let scratch get set n x =
+    match ws with
+    | None -> Array.make (max n 1) x
+    | Some w ->
+      let a = fit (get w) n x in
+      set w a;
+      Array.fill a 0 n x;
+      a
+  in
+  let renum =
+    scratch (fun w -> w.renum_w) (fun w a -> w.renum_w <- a) m_old (-1)
+  in
   for j = 0 to m - 1 do
     let o = origin.(j) in
     if j >= nsurv then (if o <> -1 then fail "added hyperedges must take the top ids")
@@ -157,7 +210,7 @@ let advance_overlap g ~origin after =
   done;
   (* A survivor loses one slot per deleted partner: read off the
      deleted hyperedges' slices, not every slice. *)
-  let deg = Array.make (max m 1) 0 in
+  let deg = scratch (fun w -> w.deg_w) (fun w a -> w.deg_w <- a) m 0 in
   for j = 0 to nsurv - 1 do
     let o = origin.(j) in
     deg.(j) <- g.adj_off.(o + 1) - g.adj_off.(o)
@@ -169,7 +222,7 @@ let advance_overlap g ~origin after =
         if p >= 0 then deg.(p) <- deg.(p) - 1
       done
   done;
-  let cnt = Array.make (max m 1) 0 in
+  let cnt = scratch (fun w -> w.cnt_w) (fun w a -> w.cnt_w <- a) m 0 in
   let touched = U.Dynarray.create ~dummy:0 () in
   let added =
     Array.init (m - nsurv) (fun a ->
@@ -201,10 +254,18 @@ let advance_overlap g ~origin after =
   in
   let adj_off = offsets deg m in
   let total = adj_off.(m) in
-  let adj = Array.make (max total 1) 0 in
-  let ocount = Array.make (max total 1) 0 in
-  let twin = Array.make (max total 1) 0 in
-  let pos = Array.sub adj_off 0 (max m 1) in
+  (* Every slot below [total] is written below, so a spare's arrays
+     need no clearing. *)
+  let slots pick =
+    match into with
+    | Some spare -> fit (pick spare) total 0
+    | None -> Array.make (max total 1) 0
+  in
+  let adj = slots (fun c -> c.adj) in
+  let ocount = slots (fun c -> c.ocount) in
+  let twin = slots (fun c -> c.twin) in
+  let pos = scratch (fun w -> w.pos_w) (fun w a -> w.pos_w <- a) m 0 in
+  Array.blit adj_off 0 pos 0 m;
   for j = 0 to nsurv - 1 do
     let o = origin.(j) in
     let s' = ref adj_off.(j) in
@@ -233,7 +294,7 @@ let advance_overlap g ~origin after =
           if p < nsurv then put p f counts.(i))
         partners)
     added;
-  link_twins ~adj_off ~adj ~twin;
+  link_twins ~pos ~adj_off ~adj ~twin;
   { adj_off; adj; ocount; twin }
 
 let equal_overlap a b =
@@ -273,16 +334,35 @@ let dec_overlap c f g =
 
 let imax (a : int) b = if a >= b then a else b
 
-let state_of h overlap =
-  let vdeg = H.vertex_degrees h in
+let state_of ?ws h overlap =
+  let nv = H.n_vertices h and m = H.n_edges h in
+  let valive, ealive, vdeg, edeg =
+    match ws with
+    | None ->
+      (Array.make nv true, Array.make m true, H.vertex_degrees h, H.edge_sizes h)
+    | Some w ->
+      w.valive_w <- fit w.valive_w nv false;
+      w.ealive_w <- fit w.ealive_w m false;
+      w.vdeg_w <- fit w.vdeg_w nv 0;
+      w.edeg_w <- fit w.edeg_w m 0;
+      Array.fill w.valive_w 0 nv true;
+      Array.fill w.ealive_w 0 m true;
+      for v = 0 to nv - 1 do
+        w.vdeg_w.(v) <- H.vertex_degree h v
+      done;
+      for e = 0 to m - 1 do
+        w.edeg_w.(e) <- H.edge_size h e
+      done;
+      (w.valive_w, w.ealive_w, w.vdeg_w, w.edeg_w)
+  in
   {
     h;
-    valive = Array.make (H.n_vertices h) true;
-    ealive = Array.make (H.n_edges h) true;
+    valive;
+    ealive;
     vdeg;
-    edeg = H.edge_sizes h;
+    edeg;
     overlap;
-    abuf = Array.make (Array.fold_left imax 1 vdeg) 0;
+    abuf = Array.make (imax 1 (H.max_vertex_degree h)) 0;
     on_vertex_degree = ignore;
     on_edge_delete = ignore;
     vdel = 0;
@@ -379,15 +459,24 @@ and check_maximality st f =
    Runs before any hook is installed, so it fires none; and it is
    reduction, not peel work, so it counts no maximality checks.  Empty
    hyperedges follow {!Hypergraph_reduce.empty_survivor}. *)
-let drop_non_maximal st =
+let drop_non_maximal ?ws st =
+  let m = H.n_edges st.h in
   let keep_empty = Hypergraph_reduce.empty_survivor st.h in
   let checks = st.checks in
   let doomed =
-    Array.init (Array.length st.ealive) (fun f ->
-        if st.edeg.(f) = 0 then f <> keep_empty else contained st f)
+    match ws with
+    | None -> Array.make m false
+    | Some w ->
+      w.doomed_w <- fit w.doomed_w m false;
+      w.doomed_w
   in
+  for f = 0 to m - 1 do
+    doomed.(f) <- (if st.edeg.(f) = 0 then f <> keep_empty else contained st f)
+  done;
   st.checks <- checks;
-  Array.iteri (fun f d -> if d then delete_edge st f) doomed
+  for f = 0 to m - 1 do
+    if doomed.(f) then delete_edge st f
+  done
 
 let delete_vertex st v =
   st.valive.(v) <- false;
@@ -550,11 +639,19 @@ let decompose_iterated ?(strategy = Overlap) ?(domains = 1)
    pops, levels and edge-deletion levels restricted to those
    components.  That is the property the subcore cascade
    ({!Hypergraph_maintain}) resumes from. *)
-let canonical_drain ~deadline st ~level0 ~vertex_core ~record_edge =
-  let nv = Array.length st.valive in
+let canonical_drain ?ws ~deadline st ~level0 ~vertex_core ~record_edge =
+  let nv = H.n_vertices st.h in
   let stride = imax nv 1 in
-  let key = Array.make stride 0 in
-  let heap = U.Int_heap.create ~capacity:(nv + 16) () in
+  (* A live vertex's key is written before it is read, so a kept key
+     array needs no clearing. *)
+  let key, heap =
+    match ws with
+    | None -> (Array.make stride 0, U.Int_heap.create ~capacity:(nv + 16) ())
+    | Some w ->
+      w.key_w <- fit w.key_w stride 0;
+      U.Int_heap.clear w.heap_w;
+      (w.key_w, w.heap_w)
+  in
   let level = ref level0 in
   for v = 0 to nv - 1 do
     if st.valive.(v) then begin
@@ -591,14 +688,18 @@ let canonical_drain ~deadline st ~level0 ~vertex_core ~record_edge =
 (* The one-pass sweep of a fresh peeling state, also returning the
    state so callers ([max_core]) can surface its counters without a
    second peel. *)
-let onepass ~deadline st =
+let onepass ?ws ~deadline st =
   let nv = H.n_vertices st.h and m = H.n_edges st.h in
+  (* The returned arrays are always fresh, workspace or not: callers
+     publish them. *)
   let vertex_core = Array.make nv 0 in
   let edge_core = Array.make m (-1) in
-  drop_non_maximal st;
+  drop_non_maximal ?ws st;
   (* Hyperedges surviving reduction are at least in the 0-core; the
      dropped ones keep -1. *)
-  Array.iteri (fun e alive -> if alive then edge_core.(e) <- 0) st.ealive;
+  for e = 0 to m - 1 do
+    if st.ealive.(e) then edge_core.(e) <- 0
+  done;
   (* A surviving empty hyperedge belongs to the 0-core only (its
      pre-assigned level 0 stands: the hooks are installed later, inside
      the drain). *)
@@ -606,7 +707,7 @@ let onepass ~deadline st =
     if st.ealive.(e) && st.edeg.(e) = 0 then delete_edge st e
   done;
   let max_core =
-    canonical_drain ~deadline st ~level0:0 ~vertex_core
+    canonical_drain ?ws ~deadline st ~level0:0 ~vertex_core
       ~record_edge:(fun f lvl -> edge_core.(f) <- lvl)
   in
   ({ vertex_core; edge_core; max_core }, st)
@@ -614,12 +715,22 @@ let onepass ~deadline st =
 let decompose_onepass_state ~strategy ~domains ~deadline h =
   onepass ~deadline (init ~strategy ~domains h)
 
-let decompose_over ?(deadline = U.Deadline.never) g h =
-  if Array.length g.adj_off <> H.n_edges h + 1 then
+let decompose_over ?(deadline = U.Deadline.never) ?ws g h =
+  let m = H.n_edges h in
+  if Array.length g.adj_off <> m + 1 then
     invalid_arg "Hypergraph_core.decompose_over: graph of another hypergraph";
   (* The drain lowers pair counts as it peels: it gets its own copy,
      and shares the slices, offsets and twins, which it only reads. *)
-  fst (onepass ~deadline (state_of h (Some { g with ocount = Array.copy g.ocount })))
+  let ocount =
+    match ws with
+    | None -> Array.copy g.ocount
+    | Some w ->
+      let total = g.adj_off.(m) in
+      w.ocount_w <- fit w.ocount_w total 0;
+      Array.blit g.ocount 0 w.ocount_w 0 total;
+      w.ocount_w
+  in
+  fst (onepass ?ws ~deadline (state_of ?ws h (Some { g with ocount })))
 
 let resume_peel ?(strategy = Overlap) ?(domains = 1)
     ?(deadline = U.Deadline.never) ~level h =
@@ -723,6 +834,30 @@ let core_of_decomposition h (d : decomposition) k =
         peel_rounds = 0;
       };
   }
+
+(* The counts [core_of_decomposition] implies, without assembling the
+   core: when the sweep's level first reaches k, the alive hyperedges
+   are exactly those with [edge_core >= k], and the peel has deleted
+   every one contained in another, so their restrictions to the core
+   vertices are pairwise distinct — each is its own smallest-id
+   representative, and the core has exactly that many hyperedges. *)
+let core_extent (d : decomposition) k =
+  if k < 0 then invalid_arg "Hypergraph_core.core_extent: negative k";
+  let vc = d.vertex_core in
+  let n = ref 0 in
+  Array.iter (fun c -> if c >= k then incr n) vc;
+  let ids = Array.make !n 0 in
+  let i = ref 0 in
+  Array.iteri
+    (fun v c ->
+      if c >= k then begin
+        ids.(!i) <- v;
+        incr i
+      end)
+    vc;
+  let edges = ref 0 in
+  Array.iter (fun c -> if c >= k then incr edges) d.edge_core;
+  (ids, !edges)
 
 let max_core ?(strategy = Overlap) ?(domains = 1) ?(deadline = U.Deadline.never) h =
   let d, st = decompose_onepass_state ~strategy ~domains ~deadline h in

@@ -129,7 +129,16 @@ val decompose_onepass :
     the hypergraph it last peeled and starts every full re-peel from
     it, instead of recounting every pair.  There is one builder
     ({!overlap_graph}), one advance ({!advance_overlap}) and one drain
-    ({!decompose_over}); {!decompose} still builds its own graph. *)
+    ({!decompose_over}); {!decompose} still builds its own graph.
+
+    A caller that re-peels again and again passes the buffers it keeps
+    across peels: a spare graph for the advance to write into, and a
+    {!workspace} for the drain's scratch.  They are private to that
+    caller, which must not share them between two peels running at
+    once (the maintainer is used under its writer's lock).  A peel
+    never writes an array it has returned: every {!decomposition} it
+    returns is freshly allocated, so a reader may keep a published
+    decomposition while later peels run. *)
 
 type overlap
 (** The static overlap graph of a hypergraph: per-hyperedge partner
@@ -141,7 +150,22 @@ val overlap_graph : ?domains:int -> Hypergraph.t -> overlap
     and assemble the graph: what every [Overlap] peel builds first.
     The result does not depend on [domains] (default 1). *)
 
-val advance_overlap : overlap -> origin:int array -> Hypergraph.t -> overlap
+type workspace
+(** The per-vertex and per-hyperedge scratch of {!advance_overlap} and
+    {!decompose_over}: the id map and cursors of the advance, and the
+    drain's working pair counts, alive flags, degrees, keys and heap,
+    and reduction verdicts.  Grown to fit, never returned. *)
+
+val workspace : unit -> workspace
+(** An empty workspace; the first peel sizes it. *)
+
+val advance_overlap :
+  ?into:overlap ->
+  ?ws:workspace ->
+  overlap ->
+  origin:int array ->
+  Hypergraph.t ->
+  overlap
 (** [advance_overlap g ~origin after] is [overlap_graph after], given
     [g], the graph of a hypergraph [after] descends from by hyperedge
     appends and deletions (vertex appends change no pair).
@@ -152,16 +176,30 @@ val advance_overlap : overlap -> origin:int array -> Hypergraph.t -> overlap
     counts; only added hyperedges' pairs are counted, from their
     members' incidence rows.  O(pairs + the added hyperedges'
     two-step neighbourhoods).  [g] is left as it is.  Raises
-    [Invalid_argument] when [origin] is not of that shape. *)
+    [Invalid_argument] when [origin] is not of that shape.
+
+    [into] is a spare graph the caller no longer reads, neither [g]
+    nor any graph sharing its arrays: its slot arrays are overwritten
+    and become the result's where they are large enough, and the
+    result's are allocated with slack where they are not.  So a caller
+    that swaps the result and its previous graph at every advance
+    allocates slot arrays only as the graph grows.  [ws] holds the
+    advance's per-hyperedge scratch. *)
 
 val equal_overlap : overlap -> overlap -> bool
 (** Same slices, counts and twin slots. *)
 
 val decompose_over :
-  ?deadline:Hp_util.Deadline.t -> overlap -> Hypergraph.t -> decomposition
+  ?deadline:Hp_util.Deadline.t ->
+  ?ws:workspace ->
+  overlap ->
+  Hypergraph.t ->
+  decomposition
 (** [decompose_over g h] is [decompose ~domains:1 h] for [g] the
     overlap graph of [h], without recounting the pairs: the drain gets
-    a copy of [g]'s counts and leaves [g] as it is.  Raises
+    a copy of [g]'s counts and leaves [g] as it is.  With [ws] the
+    copy and the peel's scratch live in the workspace, so the call
+    allocates little beyond the two arrays it returns.  Raises
     [Invalid_argument] when [g] has a different hyperedge count. *)
 
 val resume_peel :
@@ -211,6 +249,16 @@ val core_of_decomposition : Hypergraph.t -> decomposition -> int -> result
     ({!Hypergraph_maintain}): O(vertices + total member size) per
     query instead of a full peel.  Raises [Invalid_argument] for
     negative [k]. *)
+
+val core_extent : decomposition -> int -> int array * int
+(** [core_extent d k] is what a k-core reply needs of
+    [core_of_decomposition h d k], in O(vertices + hyperedges) and
+    without building it: the ids of the vertices with
+    [vertex_core >= k], ascending (its [vertex_ids]), and the number
+    of hyperedges with [edge_core >= k] (its core's hyperedge count —
+    when the sweep's level first reaches k those are the alive
+    hyperedges, pairwise non-nested, so their restrictions to the core
+    are distinct).  Raises [Invalid_argument] for negative [k]. *)
 
 val core_profile : decomposition -> (int * int * int) array
 (** Per level k = 0 .. max_core: [(k, vertices in the k-core, edges in

@@ -30,7 +30,10 @@
    bursts since then have shifted ({!Hypergraph_core.advance_overlap}),
    instead of recounting every pair.  A burst the cascade repairs only
    replays its ops over the graph's id map, so it pays nothing
-   O(pairs). *)
+   O(pairs).  The advance writes into a spare graph and the drain
+   into a workspace, both kept here, so a re-peel allocates only the
+   decomposition it publishes; the maintainer runs under its owner's
+   writer lock, so one set of buffers serves every re-peel. *)
 
 module U = Hp_util
 module H = Hypergraph
@@ -115,9 +118,13 @@ type t = {
   mutable dec : HC.decomposition;
   mutable empty_edges : int;
   mutable graph : HC.overlap;  (* of the hypergraph last peeled *)
+  mutable spare : HC.overlap option;
+      (* the graph before [graph]: read by no one, so the next advance
+         writes into its arrays *)
   graph_ids : Origin.t;
       (* current hyperedge id -> its id in [graph]'s hypergraph, -1 for
          one added since *)
+  ws : HC.workspace;  (* the advance's and the drain's scratch *)
   stats : stats;
 }
 
@@ -132,13 +139,16 @@ let default_budget = 4096
 
 let create ?(budget = default_budget) h =
   let graph = HC.overlap_graph h in
+  let ws = HC.workspace () in
   {
     budget;
     h;
-    dec = HC.decompose_over graph h;
+    dec = HC.decompose_over ~ws graph h;
     empty_edges = count_empty h;
     graph;
+    spare = None;
     graph_ids = Origin.start (H.n_edges h);
+    ws;
     stats =
       {
         cascade_repairs = 0;
@@ -162,16 +172,20 @@ let overlap t =
   HC.advance_overlap t.graph ~origin:(Origin.to_array t.graph_ids) t.h
 
 (* The full re-peel, from the kept overlap graph advanced to [after]
-   ([graph] instead, when the burst's ids are unknown). *)
+   ([graph] instead, when the burst's ids are unknown).  The advance
+   writes into the spare, and the graph it replaces becomes the next
+   spare. *)
 let repeel ?graph t after reason =
   let graph =
     match graph with
     | Some g -> g
     | None ->
-      HC.advance_overlap t.graph ~origin:(Origin.to_array t.graph_ids) after
+      HC.advance_overlap ?into:t.spare ~ws:t.ws t.graph
+        ~origin:(Origin.to_array t.graph_ids) after
   in
-  t.dec <- HC.decompose_over graph after;
+  t.dec <- HC.decompose_over ~ws:t.ws graph after;
   t.h <- after;
+  t.spare <- Some t.graph;
   t.graph <- graph;
   Origin.reset t.graph_ids (H.n_edges after);
   t.empty_edges <- count_empty after;

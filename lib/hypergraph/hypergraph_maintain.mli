@@ -25,7 +25,12 @@
     maintainer last peeled, kept across bursts and advanced to the
     current one only when a re-peel needs it
     ({!Hypergraph_core.advance_overlap}): a burst the cascade repairs
-    only replays its ops over the graph's id map ({!Origin}).
+    only replays its ops over the graph's id map ({!Origin}).  The
+    maintainer also keeps the buffers a re-peel works in: a spare
+    overlap graph, which the advance writes into before the two swap,
+    and a {!Hypergraph_core.workspace} for the drain.  They are private
+    to the maintainer, and a maintainer must be used by one caller at a
+    time (the registry holds its writer lock across every repair).
 
     A burst made only of vertex appends is an O(1) repair plus the
     array copy, counted as a cascade whose region is the appended
@@ -36,8 +41,10 @@
     after every mutation and after every batch (differential-tested
     across randomized and adversarial schedules in test_kcore_inc.ml).
     Published {!decomposition} records are immutable: every repair
-    installs fresh arrays (or shares provably-unchanged ones), so a
-    reader holding a snapshot is never affected by later mutations. *)
+    installs fresh arrays (or shares provably-unchanged ones), and no
+    buffer the maintainer reuses is ever part of one, so a reader
+    holding a snapshot, on any domain and without a lock, is never
+    affected by later mutations. *)
 
 type t
 

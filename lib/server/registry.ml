@@ -15,18 +15,9 @@ type state = {
 
 type recovery = { replayed : int; torn_bytes : int; healed_skew : bool }
 
-type entry = {
-  digest : string;
-  path : string;
-  bytes : int;
-  loaded_at : float;
-  source : source;
-  fallback : bool;
-  recovery : recovery option;
-  mutable state : state;
-      (* Readers snapshot the whole pair with one field read, so a
-         concurrent mutation can never pair an old hypergraph with a
-         new epoch (or vice versa). *)
+(* What only writers touch, under the mutex, shared by every entry
+   record of one dataset. *)
+type writer = {
   mutable live : Live.t option;
   mutable maint : HM.t option;
       (* Incrementally maintained core decomposition; created together
@@ -41,9 +32,28 @@ type entry = {
          a sound WAL on the following mutation. *)
 }
 
+(* The dataset at one epoch.  A burst publishes a new record, so a
+   reader that found one sees one epoch's hypergraph and cores
+   together, whatever the writer does next. *)
+type entry = {
+  digest : string;
+  path : string;
+  bytes : int;
+  loaded_at : float;
+  source : source;
+  fallback : bool;
+  recovery : recovery option;
+  state : state;
+  writer : writer;
+}
+
+module Table = Map.Make (String)
+
 type t = {
-  mutex : Mutex.t;
-  table : (string, entry) Hashtbl.t;
+  mutex : Mutex.t;  (* serializes the writers; readers never take it *)
+  table : entry Table.t Atomic.t;
+      (* Replaced whole, under [mutex]: readers take it with one
+         [Atomic.get]. *)
   max_file_bytes : int;  (* 0 = unlimited *)
   wal_sync : Wal.sync_policy;
   checkpoint_every : int;  (* 0 = manual checkpoints only *)
@@ -60,7 +70,7 @@ let create ?(max_file_bytes = 0) ?(wal_sync = Wal.Batch) ?(checkpoint_every = 0)
     invalid_arg "Registry.create: checkpoint_every < 0";
   {
     mutex = Mutex.create ();
-    table = Hashtbl.create 16;
+    table = Atomic.make Table.empty;
     max_file_bytes;
     wal_sync;
     checkpoint_every;
@@ -74,6 +84,13 @@ let op_shape : Wal.op -> HM.op = function
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+let resident t digest = Table.find_opt digest (Atomic.get t.table)
+
+(* Publish [entry] as its dataset's current record.  Writers only, under
+   the mutex, so no two replacements race. *)
+let install t entry =
+  Atomic.set t.table (Table.add entry.digest entry (Atomic.get t.table))
 
 (* The size gate runs before the bytes are pulled into memory, so a
    multi-GB file answers [ERR io_error] instead of OOM-ing the daemon.
@@ -115,12 +132,12 @@ let parse_content ~path content =
    fd is the one that matters. *)
 let publish t candidate =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table candidate.digest with
+      match resident t candidate.digest with
       | Some existing ->
-        Option.iter Wal.close candidate.wal;
+        Option.iter Wal.close candidate.writer.wal;
         Ok (existing, false)
       | None ->
-        Hashtbl.add t.table candidate.digest candidate;
+        install t candidate;
         Ok (candidate, true))
 
 let is_snapshot path = Filename.check_suffix path Snapshot.file_extension
@@ -140,6 +157,17 @@ let preferred_snapshot path =
     | exception Unix.Unix_error _ -> None
   end
 
+let new_writer ?live ?maint ?wal ?(wal_records = 0) ~base_identity
+    ~base_epoch () =
+  {
+    live;
+    maint;
+    wal;
+    wal_records;
+    wal_base_identity = base_identity;
+    wal_base_epoch = base_epoch;
+  }
+
 let fresh_entry ~digest ~path ~hypergraph ~bytes ~source ~fallback =
   {
     digest;
@@ -150,12 +178,7 @@ let fresh_entry ~digest ~path ~hypergraph ~bytes ~source ~fallback =
     fallback;
     recovery = None;
     state = { epoch = 0; hypergraph; cores = None };
-    live = None;
-    maint = None;
-    wal = None;
-    wal_records = 0;
-    wal_base_identity = digest;
-    wal_base_epoch = 0;
+    writer = new_writer ~base_identity:digest ~base_epoch:0 ();
   }
 
 let load_snapshot t ~given_path snap_path ~fallback_allowed =
@@ -195,7 +218,7 @@ let load_text t path ~fallback =
     Error (Read_failed (Printf.sprintf "%s: injected fault %s" path name))
   | Error msg -> Error (Read_failed msg)
   | Ok (content, digest) ->
-    (match locked t (fun () -> Hashtbl.find_opt t.table digest) with
+    (match resident t digest with
     | Some entry -> Ok (entry, false)
     | None ->
       (match parse_content ~path content with
@@ -229,7 +252,7 @@ let wal_error_to_load wal_path = function
       snapshot at [base_epoch + record count] and start a fresh log.
    4. otherwise [Base_skew], a typed error naming what was tried. *)
 let load_with_wal t ~path ~wal_path (log : Wal.log) =
-  match locked t (fun () -> Hashtbl.find_opt t.table log.Wal.handle) with
+  match resident t log.Wal.handle with
   | Some entry -> Ok (entry, false)
   | None ->
     let snap_path =
@@ -321,12 +344,9 @@ let load_with_wal t ~path ~wal_path (log : Wal.log) =
                   healed_skew = true;
                 };
             state = { epoch; hypergraph; cores = None };
-            live = None;
-            maint = None;
-            wal = Some w;
-            wal_records = 0;
-            wal_base_identity = s.Snapshot.identity;
-            wal_base_epoch = epoch;
+            writer =
+              new_writer ~wal:w ~base_identity:s.Snapshot.identity
+                ~base_epoch:epoch ();
           })
     | Ok (`Base (base_h, source, bytes)) -> (
       let live = Live.of_hypergraph base_h in
@@ -396,12 +416,10 @@ let load_with_wal t ~path ~wal_path (log : Wal.log) =
                   hypergraph;
                   cores = Some (HM.decomposition maint);
                 };
-              live = Some live;
-              maint = Some maint;
-              wal = Some w;
-              wal_records = n;
-              wal_base_identity = log.Wal.base_identity;
-              wal_base_epoch = log.Wal.base_epoch;
+              writer =
+                new_writer ~live ~maint ~wal:w ~wal_records:n
+                  ~base_identity:log.Wal.base_identity
+                  ~base_epoch:log.Wal.base_epoch ();
             })))
 
 let load t path =
@@ -430,20 +448,21 @@ let load t path =
           "snapshot rejected, reparsing text";
         load_text t path ~fallback:true)
 
-let resolve_locked t key =
-  match Hashtbl.find_opt t.table key with
+let find t key =
+  let table = Atomic.get t.table in
+  match Table.find_opt key table with
   | Some entry -> `Found entry
   | None ->
     if String.length key < 4 then `Missing
     else begin
       let matches =
-        Hashtbl.fold
+        Table.fold
           (fun digest entry acc ->
             if String.length key <= String.length digest
                && String.sub digest 0 (String.length key) = key
             then entry :: acc
             else acc)
-          t.table []
+          table []
       in
       match matches with
       | [ entry ] -> `Found entry
@@ -451,25 +470,26 @@ let resolve_locked t key =
       | _ -> `Ambiguous
     end
 
-let find t key = locked t (fun () -> resolve_locked t key)
+let maintainer entry = entry.writer.maint
 
 let evict t key =
   locked t (fun () ->
-      match resolve_locked t key with
+      match find t key with
       | `Found entry ->
-        Option.iter Wal.close entry.wal;
-        entry.wal <- None;
-        Hashtbl.remove t.table entry.digest;
+        Option.iter Wal.close entry.writer.wal;
+        entry.writer.wal <- None;
+        Atomic.set t.table (Table.remove entry.digest (Atomic.get t.table));
         Some entry
       | `Ambiguous | `Missing -> None)
 
 let list t =
-  locked t (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.table [])
+  Table.fold (fun _ e acc -> e :: acc) (Atomic.get t.table) []
   |> List.sort (fun a b -> compare a.loaded_at b.loaded_at)
 
 let sync_wals t =
   locked t (fun () ->
-      Hashtbl.iter (fun _ e -> Option.iter Wal.flush e.wal) t.table)
+      Table.iter (fun _ e -> Option.iter Wal.flush e.writer.wal)
+        (Atomic.get t.table))
 
 (* ---------------------------------------------------------------- *)
 (* Mutation                                                         *)
@@ -494,35 +514,36 @@ type checkpoint_info = {
 let wal_path_of entry = Wal.sibling_path entry.path
 
 let ensure_live entry =
-  match entry.live with
+  match entry.writer.live with
   | Some l -> l
   | None ->
     let l = Live.of_hypergraph entry.state.hypergraph in
-    entry.live <- Some l;
+    entry.writer.live <- Some l;
     l
 
 let ensure_maintained entry =
-  match entry.maint with
+  match entry.writer.maint with
   | Some m -> m
   | None ->
     (* First mutation of this dataset: pay one full peel, then every
        subsequent mutation repairs incrementally. *)
     let m = HM.create entry.state.hypergraph in
-    entry.maint <- Some m;
+    entry.writer.maint <- Some m;
     m
 
 let ensure_writer t entry =
-  match entry.wal with
+  let wr = entry.writer in
+  match wr.wal with
   | Some w -> Ok w
   | None -> (
     match
       Wal.create ~path:(wal_path_of entry) ~handle:entry.digest
-        ~base_identity:entry.wal_base_identity
-        ~base_epoch:entry.wal_base_epoch ~sync:t.wal_sync
+        ~base_identity:wr.wal_base_identity ~base_epoch:wr.wal_base_epoch
+        ~sync:t.wal_sync
     with
     | Ok w ->
-      entry.wal <- Some w;
-      entry.wal_records <- 0;
+      wr.wal <- Some w;
+      wr.wal_records <- 0;
       Ok w
     | Error e -> Error (`Io (Wal.error_to_string e)))
 
@@ -534,11 +555,12 @@ let ensure_writer t entry =
    snapshot that is already on disk. *)
 let checkpoint_locked t entry =
   let { epoch; hypergraph; _ } = entry.state in
+  let wr = entry.writer in
   let snap_path =
     if is_snapshot entry.path then entry.path
     else Snapshot.sibling_path entry.path
   in
-  let folded = entry.wal_records in
+  let folded = wr.wal_records in
   match Snapshot.pack hypergraph snap_path with
   | exception Sys_error msg -> Error (`Io msg)
   | exception Unix.Unix_error (e, fn, arg) ->
@@ -547,10 +569,10 @@ let checkpoint_locked t entry =
   | exception Hp_util.Fault.Injected name ->
     Error (`Io (Printf.sprintf "injected fault %s" name))
   | info -> (
-    entry.wal_base_identity <- info.Snapshot.identity;
-    entry.wal_base_epoch <- epoch;
-    Option.iter Wal.close entry.wal;
-    entry.wal <- None;
+    wr.wal_base_identity <- info.Snapshot.identity;
+    wr.wal_base_epoch <- epoch;
+    Option.iter Wal.close wr.wal;
+    wr.wal <- None;
     match
       Hp_util.Fault.point "wal.swap";
       Wal.create ~path:(wal_path_of entry) ~handle:entry.digest
@@ -561,8 +583,8 @@ let checkpoint_locked t entry =
       Error (`Io (Printf.sprintf "injected fault %s" name))
     | Error e -> Error (`Io (Wal.error_to_string e))
     | Ok w ->
-      entry.wal <- Some w;
-      entry.wal_records <- 0;
+      wr.wal <- Some w;
+      wr.wal_records <- 0;
       Ok
         {
           snapshot_path = snap_path;
@@ -574,7 +596,7 @@ let checkpoint_locked t entry =
 
 let checkpoint t key =
   locked t (fun () ->
-      match resolve_locked t key with
+      match find t key with
       | `Missing -> Error `Missing
       | `Ambiguous -> Error `Ambiguous
       | `Found entry -> (
@@ -601,8 +623,9 @@ type batch_result = {
 }
 
 (* Apply a burst of mutations under one lock acquisition with ONE
-   decomposition repair (HM.apply_batch) and one state rebuild at the
-   end, instead of per-op repairs.  Ops validate sequentially against
+   decomposition repair (HM.apply_batch) and one publish of the new
+   state at the end, instead of per-op repairs.  Readers keep finding
+   the pre-burst entry until that publish.  Ops validate sequentially against
    the evolving state; an invalid op is skipped with a per-item error
    and the rest of the burst continues.  The WAL writer opens at the
    first op that validates, so rejected ops on a never-mutated dataset
@@ -611,7 +634,7 @@ type batch_result = {
    those ops were never acknowledged. *)
 let mutate_batch t key ops =
   locked t (fun () ->
-      match resolve_locked t key with
+      match find t key with
       | `Missing -> Error `Missing
       | `Ambiguous -> Error `Ambiguous
       | `Found entry -> (
@@ -668,20 +691,26 @@ let mutate_batch t key ops =
              mutation builds the maintainer (one full peel) from it
              and the burst's ops are folded in by one repair. *)
           let maint = ensure_maintained entry in
-          entry.wal_records <- entry.wal_records + !applied;
+          entry.writer.wal_records <- entry.writer.wal_records + !applied;
           let hypergraph = Live.to_hypergraph live in
           let repair =
             HM.apply_batch maint ~after:hypergraph ~ops:(List.rev !shapes)
           in
-          entry.state <-
+          let entry =
             {
-              epoch = base_epoch + !applied;
-              hypergraph;
-              cores = Some (HM.decomposition maint);
-            };
+              entry with
+              state =
+                {
+                  epoch = base_epoch + !applied;
+                  hypergraph;
+                  cores = Some (HM.decomposition maint);
+                };
+            }
+          in
+          install t entry;
           let checkpointed =
             t.checkpoint_every > 0
-            && entry.wal_records >= t.checkpoint_every
+            && entry.writer.wal_records >= t.checkpoint_every
             &&
             match checkpoint_locked t entry with
             | Ok _ -> true

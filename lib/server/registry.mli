@@ -47,11 +47,27 @@
     as [fallback], and the text file is parsed as if it had no
     sibling — corruption degrades to a slow load, never an outage.
 
-    All operations are serialized by an internal mutex and safe to call
-    from concurrent worker domains.  Readers should take
-    [entry.state] with a single field read: the
-    [{epoch; hypergraph; cores}] record is replaced wholesale by
-    mutations, never updated in place.
+    {2 Concurrency}
+
+    Every operation is safe to call from concurrent worker domains.
+    Readers take no lock: {!find} and {!list} read the resident table
+    with one [Atomic.get], so an analysis, [INFO], [LIST], [METRICS] or
+    an epoch gauge never waits for a write in progress.  Writers —
+    {!mutate_batch} (and {!mutate}), {!checkpoint}, {!evict}, the
+    publish step of {!load}, and {!sync_wals} — share one internal
+    mutex, and each replaces the table whole, copy-on-write, under it.
+
+    An {!entry} is its dataset at one epoch, an atomic snapshot: its
+    [state] never changes, and a burst publishes a new entry, once,
+    after its repair, with the next epoch's hypergraph and cores
+    together.  So a reply computed from one entry is for exactly one
+    epoch, and a [find] that starts after a mutation has returned sees
+    that epoch or a later one.  Holding an entry across mutations keeps
+    the epoch it was found at; call [find] again for the current one.
+    Nothing a published state points to is ever written again
+    ({!Hp_wal.Live.to_hypergraph} and
+    {!Hp_hypergraph.Hypergraph_maintain} publish fresh arrays, or share
+    ones they never write).
 
     {2 Maintained core decomposition}
 
@@ -86,6 +102,11 @@ type recovery = {
   healed_skew : bool; (** Checkpoint/log skew healed (see above). *)
 }
 
+type writer
+(** A dataset's write-side state (its live copy, maintainer and WAL),
+    shared by all its entries and touched only under the writer
+    mutex. *)
+
 type entry = {
   digest : string;  (** The handle: MD5 identity at epoch 0 (see above). *)
   path : string;    (** Path given at first load. *)
@@ -95,14 +116,8 @@ type entry = {
   fallback : bool;  (** A sibling snapshot existed but was rejected. *)
   recovery : recovery option;
       (** Present iff the entry was recovered through a WAL. *)
-  mutable state : state;
-  mutable live : Hp_wal.Live.t option;      (* registry-internal *)
-  mutable maint : Hp_hypergraph.Hypergraph_maintain.t option;
-                                            (* registry-internal *)
-  mutable wal : Hp_wal.Wal.writer option;   (* registry-internal *)
-  mutable wal_records : int;                (* registry-internal *)
-  mutable wal_base_identity : string;       (* registry-internal *)
-  mutable wal_base_epoch : int;             (* registry-internal *)
+  state : state;    (** The dataset at the epoch this entry was found at. *)
+  writer : writer;  (** Registry-internal. *)
 }
 
 type t
@@ -130,14 +145,21 @@ val load : t -> string -> (entry * bool, load_error) result
 
 val find : t -> string -> [ `Found of entry | `Ambiguous | `Missing ]
 (** Exact digest, or a digest prefix of at least 4 characters that
-    matches exactly one resident dataset. *)
+    matches exactly one resident dataset.  Takes no lock. *)
+
+val maintainer : entry -> Hp_hypergraph.Hypergraph_maintain.t option
+(** The dataset's maintained decomposition, once it was first mutated
+    (or recovered through a WAL).  The writer advances it under the
+    mutex, so a reader without the lock should only read its
+    {!Hp_hypergraph.Hypergraph_maintain.stats}, which may lag the burst
+    in progress. *)
 
 val evict : t -> string -> entry option
 (** Drop a dataset (addressed as in [find]), closing its WAL writer;
     returns the dropped entry. *)
 
 val list : t -> entry list
-(** Resident datasets, oldest first. *)
+(** Resident datasets, oldest first.  Takes no lock. *)
 
 val sync_wals : t -> unit
 (** fsync every open WAL writer (shutdown hook; makes [Batch]/[Never]

@@ -149,33 +149,43 @@ let stats_payload ~domains ~deadline ~samples ~metrics h =
   @ powerlaw_lines (Hp_stats.Degree_dist.vertex_histogram h)
 
 let kcore_payload ~domains ~deadline ~metrics ~cores h k =
-  let result, k =
+  let k, vertex_ids, n_edges, (stats : HC.stats) =
     match cores with
     | Some dec ->
       (* The mutation stream maintains this decomposition incrementally
-         (Hypergraph_maintain), so the core is assembled from its
-         arrays without re-peeling. *)
+         (Hypergraph_maintain), so the reply is read off its arrays:
+         O(V + E), no core is assembled. *)
       let k = match k with Some k -> k | None -> dec.HC.max_core in
       Metrics.incr metrics "kcore_served_maintained";
-      (HC.core_of_decomposition h dec k, k)
-    | None -> (
-      match k with
-      | Some k -> (HC.k_core ~domains ~deadline h k, k)
-      | None ->
-        let k, r = HC.max_core ~domains ~deadline h in
-        (r, k))
+      let ids, n_edges = HC.core_extent dec k in
+      ( k,
+        ids,
+        n_edges,
+        {
+          vertices_deleted = H.n_vertices h - Array.length ids;
+          edges_deleted = H.n_edges h - n_edges;
+          maximality_checks = 0;
+          peel_rounds = 0;
+        } )
+    | None ->
+      let k, r =
+        match k with
+        | Some k -> (k, HC.k_core ~domains ~deadline h k)
+        | None -> HC.max_core ~domains ~deadline h
+      in
+      (k, r.vertex_ids, H.n_edges r.core, r.stats)
   in
   (* Kernel profiling stats used to be computed and dropped here; they
      now feed the kernel_* gauges behind METRICS. *)
-  Metrics.incr metrics ~by:result.stats.peel_rounds "kernel_peel_rounds";
-  Metrics.incr metrics ~by:result.stats.maximality_checks "kernel_maximality_checks";
-  Metrics.incr metrics ~by:result.stats.vertices_deleted "kernel_vertices_peeled";
-  Metrics.incr metrics ~by:result.stats.edges_deleted "kernel_edges_deleted";
+  Metrics.incr metrics ~by:stats.peel_rounds "kernel_peel_rounds";
+  Metrics.incr metrics ~by:stats.maximality_checks "kernel_maximality_checks";
+  Metrics.incr metrics ~by:stats.vertices_deleted "kernel_vertices_peeled";
+  Metrics.incr metrics ~by:stats.edges_deleted "kernel_edges_deleted";
   [
     ("k", string_of_int k);
-    ("core_vertices", string_of_int (H.n_vertices result.core));
-    ("core_hyperedges", string_of_int (H.n_edges result.core));
-    ("members", names h result.vertex_ids);
+    ("core_vertices", string_of_int (Array.length vertex_ids));
+    ("core_hyperedges", string_of_int n_edges);
+    ("members", names h vertex_ids);
   ]
 
 let cover_payload h (weighting : P.weighting) r =
@@ -329,9 +339,8 @@ let analyze_reply t ~t0 ~tr dataset analysis : P.reply =
   | `Ambiguous ->
     P.err P.Unknown_dataset (Printf.sprintf "ambiguous digest prefix %S" dataset)
   | `Found entry ->
-    (* One field read gives a consistent epoch/hypergraph pair even if
-       a mutation lands mid-request; the reply is then simply for the
-       epoch it names. *)
+    (* The entry is the dataset at one epoch, so the reply is for that
+       epoch even if a mutation lands mid-request. *)
     let st = entry.Registry.state in
     let key =
       Result_cache.key ~digest:entry.digest ~epoch:st.Registry.epoch ~analysis
@@ -565,7 +574,8 @@ let metrics_reply t (fmt : P.metrics_format) : P.reply =
 (* Daemon configuration and repair accounting.  The repair totals are
    read from the maintainers themselves (not the Metrics store), so
    they include repairs the request path never saw — WAL-replay
-   recovery batches, for instance. *)
+   recovery batches, for instance.  They are read without the writer
+   lock, so they may lag a burst in progress. *)
 let info_reply t : P.reply =
   let module HM = Hp_hypergraph.Hypergraph_maintain in
   let maintained = ref 0 in
@@ -574,7 +584,7 @@ let info_reply t : P.reply =
   let by_reason = List.map (fun r -> (r, ref 0)) HM.reasons in
   List.iter
     (fun (e : Registry.entry) ->
-      match e.Registry.maint with
+      match Registry.maintainer e with
       | None -> ()
       | Some m ->
         incr maintained;

@@ -564,6 +564,47 @@ let prop_core_of_decomposition_matches_kcore =
       && a.stats.vertices_deleted = b.stats.vertices_deleted
       && a.stats.edges_deleted = b.stats.edges_deleted)
 
+(* Random hypergraphs with the shapes that make edge identity subtle:
+   every generated row is kept, then some rows are appended again (a
+   duplicate complex) and sometimes an empty row, next to the empty
+   rows and isolated vertices the base generator makes anyway. *)
+let messy_hypergraph =
+  let open QCheck.Gen in
+  let gen =
+    Th.hypergraph_gen ~max_v:12 ~max_e:10 () >>= fun h ->
+    let m = H.n_edges h in
+    list_repeat m (float_range 0.0 1.0) >>= fun coins ->
+    bool >|= fun empty ->
+    let rows = List.init m (fun e -> Array.to_list (H.edge_members h e)) in
+    let dups = List.filteri (fun e _ -> List.nth coins e < 0.3) rows in
+    H.create ~n_vertices:(H.n_vertices h)
+      (rows @ dups @ if empty then [ [] ] else [])
+  in
+  QCheck.make ~print:Th.hypergraph_print gen
+
+let prop_core_extent_matches_core_of_decomposition =
+  (* The maintained KCORE reply reads only the vertex ids and the
+     hyperedge count: both must be what the assembled core has, at
+     every level up to one past the maximum. *)
+  QCheck.Test.make
+    ~name:"core_extent equals core_of_decomposition at every level"
+    ~count:500 messy_hypergraph
+    (fun h ->
+      let d = C.decompose h in
+      List.for_all
+        (fun k ->
+          let ids, n_edges = C.core_extent d k in
+          let r = C.core_of_decomposition h d k in
+          ids = r.vertex_ids
+          && n_edges = H.n_edges r.core
+          && H.n_edges h - n_edges = r.stats.edges_deleted)
+        (List.init (d.max_core + 2) Fun.id))
+
+let test_core_extent_negative_k () =
+  Alcotest.check_raises "negative k"
+    (Invalid_argument "Hypergraph_core.core_extent: negative k")
+    (fun () -> ignore (C.core_extent (C.decompose (tri ())) (-1)))
+
 let () =
   Alcotest.run "hp_hypergraph_core"
     [
@@ -621,5 +662,8 @@ let () =
           Alcotest.test_case "core_of_decomposition negative k" `Quick
             test_core_of_decomposition_negative_k;
           Th.prop prop_core_of_decomposition_matches_kcore;
+          Th.prop prop_core_extent_matches_core_of_decomposition;
+          Alcotest.test_case "core_extent negative k" `Quick
+            test_core_extent_negative_k;
         ] );
     ]

@@ -468,6 +468,128 @@ let test_vertex_burst () =
   check "region: the appended vertices" 4 s.HM.repair_visited;
   check "no re-peel" 0 s.HM.full_repeels
 
+(* Bursts that between them reach every rung of the ladder, generated
+   from the current hypergraph [h]: a rewiring (delete a complex, then
+   add it back with one member swapped), a superset of a live complex
+   and its deletion (swallow, then resurface), a complex added and
+   deleted in one burst (entangled), a complex over a protein the same
+   burst creates, an empty complex and its deletion, and a complex
+   added outright, so the graph also grows. *)
+let gen_ladder_bursts rng h =
+  let nv = H.n_vertices h and m = H.n_edges h in
+  let some_members k = Array.init k (fun _ -> Prng.int rng nv) in
+  match Prng.int rng 12 with
+  | 0 when m > 0 ->
+    let e = Prng.int rng m in
+    let extra = Prng.int rng nv in
+    let sup = Array.append (H.edge_members h e) [| extra |] in
+    [ [ W.Add_edge { name = "sup"; members = sup } ]; [ W.Del_edge { edge = m } ] ]
+  | 1 ->
+    [ [ W.Add_edge { name = "brief"; members = some_members 3 }; W.Del_edge { edge = m } ] ]
+  | 2 ->
+    [
+      [
+        W.Add_vertex { name = Printf.sprintf "n%d" nv };
+        W.Add_edge { name = "fresh"; members = [| nv; Prng.int rng nv |] };
+      ];
+    ]
+  | 3 ->
+    [ [ W.Add_edge { name = "empty"; members = [||] } ]; [ W.Del_edge { edge = m } ] ]
+  | 4 -> [ [ W.Add_edge { name = "grow"; members = some_members (2 + Prng.int rng 4) } ] ]
+  | _ when m > 0 ->
+    let e = Prng.int rng m in
+    let members = Array.copy (H.edge_members h e) in
+    if Array.length members > 0 then
+      members.(Prng.int rng (Array.length members)) <- Prng.int rng nv;
+    [ [ W.Del_edge { edge = e } ]; [ W.Add_edge { name = "rewired"; members } ] ]
+  | _ -> [ [ W.Add_vertex { name = Printf.sprintf "n%d" nv } ] ]
+
+(* What a reader may hold: a published hypergraph and decomposition,
+   next to deep copies of every array they point to. *)
+type captured = {
+  at : string;
+  hyp : H.t;
+  dec : HC.decomposition;
+  members : int array array;
+  incidence : int array array;
+  vcore : int array;
+  ecore : int array;
+}
+
+let capture at hyp dec =
+  {
+    at;
+    hyp;
+    dec;
+    members = Array.init (H.n_edges hyp) (fun e -> Array.copy (H.edge_members hyp e));
+    incidence = Array.init (H.n_vertices hyp) (fun v -> Array.copy (H.vertex_edges hyp v));
+    vcore = Array.copy dec.HC.vertex_core;
+    ecore = Array.copy dec.HC.edge_core;
+  }
+
+let assert_unwritten c =
+  Alcotest.(check (array (array int)))
+    (c.at ^ ": member rows") c.members
+    (Array.init (H.n_edges c.hyp) (H.edge_members c.hyp));
+  Alcotest.(check (array (array int)))
+    (c.at ^ ": incidence rows") c.incidence
+    (Array.init (H.n_vertices c.hyp) (H.vertex_edges c.hyp));
+  Alcotest.(check (array int)) (c.at ^ ": vertex cores") c.vcore c.dec.HC.vertex_core;
+  Alcotest.(check (array int)) (c.at ^ ": edge cores") c.ecore c.dec.HC.edge_core
+
+(* The maintainer re-peels in buffers it keeps (a spare overlap graph,
+   a workspace) and publishes the rest.  A state captured at some
+   epoch must read the same after hundreds of later writes that take
+   the cascade and every re-peel reason; and after every burst the
+   kept graph, swapped with its spare and grown at every re-peel, must
+   still equal a fresh count. *)
+let test_published_arrays_never_written () =
+  let rng = Prng.create 0x5AFE in
+  let base =
+    H.create ~n_vertices:60
+      (List.init 30 (fun c ->
+           List.sort_uniq compare
+             (List.init (2 + Prng.int rng 4) (fun _ -> (2 * c + Prng.int rng 6) mod 60))))
+  in
+  let live = L.of_hypergraph base in
+  let maint = HM.create ~budget:64 base in
+  let captured = ref [ capture "epoch 0" base (HM.decomposition maint) ] in
+  let writes = ref 0 and bursts = ref 0 in
+  while !writes < 240 do
+    List.iter
+      (fun burst ->
+        List.iter
+          (fun op ->
+            match L.apply live op with
+            | Ok _ -> incr writes
+            | Error m -> Alcotest.failf "burst %d: %s" !bursts m)
+          burst;
+        let after = L.to_hypergraph live in
+        ignore (HM.apply_batch maint ~after ~ops:(List.map op_shape burst));
+        let name = Printf.sprintf "burst %d" !bursts in
+        assert_maintained name maint after;
+        if !bursts mod 10 = 0 then
+          captured := capture name after (HM.decomposition maint) :: !captured;
+        incr bursts)
+      (gen_ladder_bursts rng (L.to_hypergraph live))
+  done;
+  let s = HM.stats maint in
+  Printf.printf "%d writes in %d bursts: %d cascades, re-peels %s\n%!" !writes
+    !bursts s.HM.cascade_repairs
+    (String.concat " "
+       (List.map
+          (fun r -> Printf.sprintf "%s=%d" (HM.reason_name r) (HM.repeels s r))
+          HM.reasons));
+  checkb "cascades repaired some bursts" true (s.HM.cascade_repairs > 0);
+  List.iter
+    (fun r ->
+      checkb
+        (Printf.sprintf "a %s re-peel ran" (HM.reason_name r))
+        true
+        (HM.repeels s r > 0))
+    HM.reasons;
+  List.iter assert_unwritten !captured
+
 let () =
   Alcotest.run "hp_kcore_inc"
     [
@@ -495,5 +617,7 @@ let () =
           Alcotest.test_case "grow from empty" `Quick test_grow_from_empty;
           Alcotest.test_case "vertex burst is one O(1) cascade" `Quick
             test_vertex_burst;
+          Alcotest.test_case "published arrays are never written" `Quick
+            test_published_arrays_never_written;
         ] );
     ]

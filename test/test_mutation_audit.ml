@@ -38,6 +38,13 @@ let load_exn reg path =
   | Error (Registry.Read_failed m | Registry.Parse_failed m) ->
     Alcotest.failf "load %s: %s" path m
 
+(* An entry is its dataset at the epoch it was found at: find it again
+   for the state after later mutations. *)
+let current reg digest =
+  match Registry.find reg digest with
+  | `Found e -> e
+  | `Missing | `Ambiguous -> Alcotest.failf "dataset %s not resident" digest
+
 let mutate_exn reg digest op =
   match Registry.mutate reg digest op with
   | Ok a -> a
@@ -82,7 +89,7 @@ let test_isolated_vertex_roundtrip () =
   ignore (mutate_exn reg digest (W.Add_vertex { name = "iso1" }));
   ignore (mutate_exn reg digest (W.Add_vertex { name = "iso2" }));
   ignore (mutate_exn reg digest (W.Del_edge { edge = 2 }));
-  let before = entry.Registry.state in
+  let before = (current reg digest).Registry.state in
   (match Registry.checkpoint reg digest with
   | Ok _ -> ()
   | Error (`Io m) -> Alcotest.failf "checkpoint: %s" m
@@ -124,7 +131,7 @@ let test_text_vs_snapshot_replica () =
   ignore (mutate_exn reg digest (W.Add_edge { name = "e1"; members = [| 0; 5 |] }));
   ignore (mutate_exn reg digest (W.Del_edge { edge = 3 }));
   ignore (mutate_exn reg digest (W.Add_vertex { name = "stray" }));
-  let mutated = entry.Registry.state.Registry.hypergraph in
+  let mutated = (current reg digest).Registry.state.Registry.hypergraph in
   (* The text serialization of the mutated state, parsed fresh, must
      answer identically by name — including the degree-0 vertex, which
      only survives via the "vertex NAME" line. *)
@@ -145,14 +152,15 @@ let test_deledge_isolates_vertex () =
   let a = mutate_exn reg digest (W.Del_edge { edge = 0 }) in
   check "edge count" 1 a.Registry.n_edges;
   check "vertices keep their ids" 3 a.Registry.n_vertices;
-  let h = entry.Registry.state.Registry.hypergraph in
+  let st = (current reg digest).Registry.state in
+  let h = st.Registry.hypergraph in
   check "vertex a isolated" 0 (H.vertex_degree h 0);
   (* Equivalent dataset written directly: same answers by name. *)
   assert_same_answers "isolating delete" h
     (HIO.of_string "c2: b c\nvertex a\n");
   (* And the maintained decomposition the server would serve KCORE
      from agrees with a fresh peel at every level. *)
-  match entry.Registry.state.Registry.cores with
+  match st.Registry.cores with
   | None -> Alcotest.fail "mutated dataset has no maintained cores"
   | Some dec ->
     for k = 0 to dec.HC.max_core do
@@ -181,7 +189,8 @@ let test_duplicate_vertex_name_rejected () =
   | Error (`Invalid _) -> ()
   | Ok _ -> Alcotest.fail "empty vertex name accepted"
   | Error _ -> Alcotest.fail "unexpected error class");
-  check "no epoch consumed" epoch0 entry.Registry.state.Registry.epoch;
+  check "no epoch consumed" epoch0
+    (current reg digest).Registry.state.Registry.epoch;
   (match
      Registry.mutate_batch reg digest
        [ W.Add_vertex { name = "a" }; W.Del_edge { edge = 99 } ]
@@ -195,7 +204,7 @@ let test_duplicate_vertex_name_rejected () =
   | Ok _ -> Alcotest.fail "duplicate of a mutated-in name accepted"
   | Error _ -> Alcotest.fail "unexpected error class");
   check "only the valid op advanced the epoch" (epoch0 + 1)
-    entry.Registry.state.Registry.epoch
+    (current reg digest).Registry.state.Registry.epoch
 
 let () =
   Alcotest.run "hp_mutation_audit"

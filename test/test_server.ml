@@ -1174,6 +1174,143 @@ let test_gc_gauges () =
             checkb (name ^ ": the forced collection shows") true (p0 < t1))
         before after)
 
+(* ---------- maintained KCORE, read without waiting ---------- *)
+
+let cellzome_text () =
+  Hp_hypergraph.Hypergraph_io.to_string (Hp_data.Cellzome.paper ()).hypergraph
+
+(* [n] rewiring mutations of the dataset [digest], loaded as [h]:
+   delete a complex and add it back with one member swapped for a
+   random protein; about one in eight adds a protein instead. *)
+let rewire_requests ~digest h n =
+  let module H = Hp_hypergraph.Hypergraph in
+  let rng = Hp_util.Prng.create 2025 in
+  let nv = ref (H.n_vertices h) in
+  let edges = ref (List.init (H.n_edges h) (H.edge_members h)) in
+  List.concat
+    (List.init n (fun i ->
+         if Hp_util.Prng.int rng 8 = 0 then begin
+           incr nv;
+           [ P.Add_vertex { dataset = digest; name = Printf.sprintf "rw%d" i } ]
+         end
+         else begin
+           let e = Hp_util.Prng.int rng (List.length !edges) in
+           let members = Array.copy (List.nth !edges e) in
+           let v = Hp_util.Prng.int rng !nv in
+           if Array.length members > 0 && not (Array.mem v members) then
+             members.(Hp_util.Prng.int rng (Array.length members)) <- v;
+           edges := List.filteri (fun j _ -> j <> e) !edges @ [ members ];
+           [
+             P.Del_edge { dataset = digest; edge = e };
+             P.Add_edge
+               { dataset = digest; name = Printf.sprintf "cx%d" i;
+                 members = Array.to_list members };
+           ]
+         end))
+
+let kcore_requests digest =
+  [
+    P.Analyze { dataset = digest; analysis = P.Kcore None };
+    P.Analyze { dataset = digest; analysis = P.Kcore (Some 2) };
+  ]
+
+let reply_bytes what c req = P.encode_reply (P.Ok (expect_ok what (Client.request c req)))
+
+let counter kvs name =
+  Option.fold ~none:0 ~some:int_of_string (List.assoc_opt name kvs)
+
+(* The maintained KCORE reply is read off the decomposition's arrays;
+   a second server that loads the same hypergraph fresh peels it.
+   Their replies must be the same bytes. *)
+let test_maintained_kcore_matches_fresh_peel () =
+  let replica = ref "" and maintained = ref [] in
+  with_server ~cache_capacity:0 (fun dir socket_path ->
+      let data = Filename.concat dir "cellzome.hg" in
+      let text = cellzome_text () in
+      write_file data text;
+      let c = connect socket_path in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let digest = List.assoc "digest" (expect_ok "load" (Client.request c (P.Load data))) in
+      List.iter
+        (fun req -> ignore (expect_ok (P.request_line req) (Client.request c req)))
+        (rewire_requests ~digest (HIO.of_string text) 40);
+      maintained := List.map (reply_bytes "kcore" c) (kcore_requests digest);
+      let m = expect_ok "metrics" (Client.request c (P.Metrics P.Table)) in
+      check "both served from the maintained arrays" 2
+        (counter m "kcore_served_maintained");
+      let cp = expect_ok "checkpoint" (Client.request c (P.Checkpoint digest)) in
+      let ic = open_in_bin (List.assoc "snapshot" cp) in
+      let bytes = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      (* Outside the dataset's directory, so no WAL rides along. *)
+      replica := Filename.concat (Filename.temp_dir "hgd" "replica") "replica.hgsnap";
+      let oc = open_out_bin !replica in
+      output_string oc bytes;
+      close_out oc);
+  with_server ~cache_capacity:0 (fun _ socket_path ->
+      let c = connect socket_path in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let digest =
+        List.assoc "digest" (expect_ok "load replica" (Client.request c (P.Load !replica)))
+      in
+      let peeled = List.map (reply_bytes "kcore" c) (kcore_requests digest) in
+      let m = expect_ok "metrics" (Client.request c (P.Metrics P.Table)) in
+      check "the replica peels" 0 (counter m "kcore_served_maintained");
+      List.iter2 (checks "maintained reply = fresh peel's") peeled !maintained)
+
+(* A read that arrives while a write holds the writer mutex answers at
+   once, for the epoch before the write.  The failpoint holds the
+   mutation on connection A inside its WAL append for 400 ms; the
+   reads on connection B must not wait for it. *)
+let test_read_does_not_wait_for_write () =
+  with_server ~cache_capacity:0 (fun dir socket_path ->
+      let data = Filename.concat dir "cellzome.hg" in
+      write_file data (cellzome_text ());
+      let a = connect socket_path and b = connect socket_path in
+      Fun.protect
+        ~finally:(fun () ->
+          Hp_util.Fault.reset ();
+          Client.close a;
+          Client.close b)
+      @@ fun () ->
+      let digest = List.assoc "digest" (expect_ok "load" (Client.request b (P.Load data))) in
+      (* One mutation first, so KCORE is served from maintained cores. *)
+      ignore
+        (expect_ok "first mutation"
+           (Client.request b (P.Add_vertex { dataset = digest; name = "w0" })));
+      let kcore = P.Analyze { dataset = digest; analysis = P.Kcore None } in
+      let before = reply_bytes "kcore before" b kcore in
+      Hp_util.Fault.arm ~count:1 "wal.append" (Hp_util.Fault.Sleep_ms 400);
+      let written = ref (Error "not run") in
+      let writer =
+        Thread.create
+          (fun () ->
+            written := Client.request a (P.Del_edge { dataset = digest; edge = 0 }))
+          ()
+      in
+      let t0 = Unix.gettimeofday () in
+      while Hp_util.Fault.fired "wal.append" = 0 do
+        if Unix.gettimeofday () -. t0 > 10.0 then
+          Alcotest.fail "the write never reached its WAL append";
+        Thread.delay 0.001
+      done;
+      let timed what req =
+        let t = Unix.gettimeofday () in
+        let kvs = expect_ok what (Client.request b req) in
+        let ms = 1000.0 *. (Unix.gettimeofday () -. t) in
+        if ms >= 100.0 then
+          Alcotest.failf "%s during a write took %.0f ms (bound 100 ms)" what ms;
+        kvs
+      in
+      let during = P.encode_reply (P.Ok (timed "KCORE" kcore)) in
+      checks "KCORE during the write is the pre-write epoch's" before during;
+      ignore (timed "INFO" P.Info);
+      ignore (timed "DATASETS" P.Datasets);
+      ignore (timed "METRICS" (P.Metrics P.Table));
+      Thread.join writer;
+      let w = expect_ok "the held write" !written in
+      checks "the write lands after the reads" "2" (List.assoc "epoch" w))
+
 let () =
   Alcotest.run "hp_server"
     [
@@ -1216,5 +1353,9 @@ let () =
           Alcotest.test_case "mutation durability across restarts" `Quick
             test_mutation_durability;
           Alcotest.test_case "gc gauges in both metrics formats" `Quick test_gc_gauges;
+          Alcotest.test_case "maintained KCORE equals a fresh peel" `Quick
+            test_maintained_kcore_matches_fresh_peel;
+          Alcotest.test_case "a read does not wait for a write" `Quick
+            test_read_does_not_wait_for_write;
         ] );
     ]

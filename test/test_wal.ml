@@ -530,6 +530,13 @@ let expect_entry what = function
   | Error (Registry.Read_failed m | Registry.Parse_failed m) ->
     Alcotest.failf "%s: %s" what m
 
+(* An entry is its dataset at the epoch it was found at: find it again
+   for the state after later mutations. *)
+let current r key =
+  match Registry.find r key with
+  | `Found e -> e
+  | `Missing | `Ambiguous -> Alcotest.failf "dataset %s not resident" key
+
 let expect_mutate what r key op =
   match Registry.mutate r key op with
   | Ok (a : Registry.applied) -> a
@@ -613,7 +620,8 @@ let test_mutate_and_recover () =
   (match Registry.mutate r "feedfacedeadbeef" (List.nth mutation_ops 0) with
   | Error `Missing -> ()
   | _ -> Alcotest.fail "unknown dataset should be `Missing");
-  let st = e.Registry.state in
+  check "the loaded entry keeps its epoch" 0 e.Registry.state.Registry.epoch;
+  let st = (current r handle).Registry.state in
   check "epoch unmoved by rejects" 3 st.Registry.epoch;
   let oracle = apply_oracle (HIO.of_string tiny_hg) mutation_ops in
   assert_bit_identical "in-process state" oracle st.Registry.hypergraph;
@@ -640,7 +648,7 @@ let test_mutate_and_recover () =
     e2.Registry.state.Registry.hypergraph;
   (* Recovery absorbed the log as one batch; the next re-peel must
      start from the recovered hypergraph's overlap graph. *)
-  (match e2.Registry.maint with
+  (match Registry.maintainer e2 with
   | Some m ->
     checkb "recovered overlap graph" true
       (HC.equal_overlap
@@ -752,7 +760,8 @@ let test_skew_heal () =
      pack the current state over S1 ourselves, leaving the log naming
      a snapshot identity that is no longer on disk. *)
   ignore
-    (Snap.pack e.Registry.state.Registry.hypergraph (Snap.sibling_path path));
+    (Snap.pack (current r handle).Registry.state.Registry.hypergraph
+       (Snap.sibling_path path));
   ignore (Registry.evict r handle);
   let r2 = Registry.create () in
   let e2, _ = expect_entry "heal" (Registry.load r2 path) in

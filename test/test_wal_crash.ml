@@ -219,7 +219,7 @@ let run_schedule i =
     (* Recovery absorbed the log as one batch: the maintained cores
        and the overlap graph the next re-peel starts from must be
        those of the recovered hypergraph. *)
-    (match (entry.Registry.maint, st.Registry.cores) with
+    (match (Registry.maintainer entry, st.Registry.cores) with
     | Some m, Some cores ->
       let d = HC.decompose ~domains:1 st.Registry.hypergraph in
       checkb

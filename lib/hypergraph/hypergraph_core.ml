@@ -37,38 +37,13 @@ type csr = {
   twin : int array;     (* slot of the mirrored (g,f) entry *)
 }
 
-(* Mutable peeling state over the input hypergraph.  The peels
-   below share it: the per-k algorithm of Figure 4 seeds a worklist
-   with low-degree vertices, while the one-pass decomposition drains
-   minimum-degree vertices from a heap.  They observe deletions
-   through the [on_vertex_degree] / [on_edge_delete] hooks. *)
-(* Incidence is read straight off the immutable CSR arrays
-   ([H.vertex_edges] / [H.edge_members]) filtered through the alive
-   flags: the alive members of edge e are exactly its static members
-   whose [valive] flag still holds, and symmetrically for a vertex's
-   alive incident edges.  (Deletion order makes this exact: a vertex's
-   flag drops before its edges are rechecked, and an edge's flag drops
-   before its members' degrees fall.) *)
-type state = {
-  h : H.t;                                (* static incidence (CSR arrays) *)
-  valive : bool array;
-  ealive : bool array;
-  vdeg : int array;
-  edeg : int array;
-  overlap : csr option;                   (* [None] for [Naive] *)
-  abuf : int array;                       (* [delete_vertex]'s scratch *)
-  mutable on_vertex_degree : int -> unit; (* fires after a degree drop *)
-  mutable on_edge_delete : int -> unit;
-  mutable vdel : int;
-  mutable edel : int;
-  mutable checks : int;
-}
-
-(* The scratch of a re-peel, kept by its caller across peels so that a
-   peel allocates only the arrays it returns ({!Hypergraph_maintain}
-   keeps one per maintainer).  Each array is grown to fit, with slack,
-   and never shrinks; a peel reads only the prefix it sized.  Nothing
-   here is ever returned to the caller. *)
+(* The scratch of a peel and of an advance.  A peel state takes its
+   alive flags, degrees, keys, heap and reduction verdicts from one;
+   {!Hypergraph_maintain} keeps one per maintainer across re-peels, so
+   a re-peel allocates little beyond the arrays it returns, and every
+   other peel starts from a fresh one ([init]).  Each array is grown to
+   fit ([fit]) and never shrinks; a peel reads only the prefix it
+   sized.  Nothing here is ever returned to the caller. *)
 type workspace = {
   mutable ocount_w : int array;  (* [decompose_over]'s working pair counts *)
   mutable valive_w : bool array;
@@ -100,9 +75,42 @@ let workspace () =
     pos_w = [||];
   }
 
-(* [a] when it holds [n] entries, else a fresh array with slack. *)
+(* Mutable peeling state over the input hypergraph.  The peels
+   below share it: the per-k algorithm of Figure 4 seeds a worklist
+   with low-degree vertices, while the one-pass decomposition drains
+   minimum-degree vertices from a heap.  They observe deletions
+   through the [on_vertex_degree] / [on_edge_delete] hooks. *)
+(* Incidence is read straight off the immutable CSR arrays
+   ([H.vertex_edges] / [H.edge_members]) filtered through the alive
+   flags: the alive members of edge e are exactly its static members
+   whose [valive] flag still holds, and symmetrically for a vertex's
+   alive incident edges.  (Deletion order makes this exact: a vertex's
+   flag drops before its edges are rechecked, and an edge's flag drops
+   before its members' degrees fall.)  The flags and degrees are the
+   first [n_vertices] / [n_edges] entries of the workspace's arrays; a
+   reused workspace may hold more. *)
+type state = {
+  h : H.t;                                (* static incidence (CSR arrays) *)
+  valive : bool array;
+  ealive : bool array;
+  vdeg : int array;
+  edeg : int array;
+  overlap : csr option;                   (* [None] for [Naive] *)
+  ws : workspace;
+  abuf : int array;                       (* [delete_vertex]'s scratch *)
+  mutable on_vertex_degree : int -> unit; (* fires after a degree drop *)
+  mutable on_edge_delete : int -> unit;
+  mutable vdel : int;
+  mutable edel : int;
+  mutable checks : int;
+}
+
+(* [a] when it holds [n] entries, else a fresh array: of exactly [n]
+   for an empty [a] (a fresh workspace, so a one-off peel allocates
+   only what it reads), with slack when a reused one must grow. *)
 let fit a n x =
-  if Array.length a >= n then a else Array.make (n + (n lsr 3) + 16) x
+  if Array.length a >= n then a
+  else Array.make (if Array.length a = 0 then n else n + (n lsr 3) + 16) x
 
 (* Twin slots of a CSR whose slices are sorted: visiting each pair
    (f, g), f < g, in ascending f, g's slots for partners below g come
@@ -179,7 +187,7 @@ let overlap_graph ?(domains = 1) h = build_csr ~domains h
    are new: counted from its members' incidence rows in [after], they
    make its own slice and are appended to its surviving partners'
    slices, above every survivor id and in ascending order. *)
-let advance_overlap ?into ?ws g ~origin after =
+let advance_overlap ?into ~ws g ~origin after =
   let fail what = invalid_arg ("Hypergraph_core.advance_overlap: " ^ what) in
   let m_old = Array.length g.adj_off - 1 and m = H.n_edges after in
   if Array.length origin <> m then fail "origin length";
@@ -189,18 +197,13 @@ let advance_overlap ?into ?ws g ~origin after =
   done;
   let nsurv = !nsurv in
   (* The first [n] entries of a workspace array, set to [x]. *)
-  let scratch get set n x =
-    match ws with
-    | None -> Array.make (max n 1) x
-    | Some w ->
-      let a = fit (get w) n x in
-      set w a;
-      Array.fill a 0 n x;
-      a
+  let scratch a set n x =
+    let a = fit a n x in
+    set a;
+    Array.fill a 0 n x;
+    a
   in
-  let renum =
-    scratch (fun w -> w.renum_w) (fun w a -> w.renum_w <- a) m_old (-1)
-  in
+  let renum = scratch ws.renum_w (fun a -> ws.renum_w <- a) m_old (-1) in
   for j = 0 to m - 1 do
     let o = origin.(j) in
     if j >= nsurv then (if o <> -1 then fail "added hyperedges must take the top ids")
@@ -210,7 +213,7 @@ let advance_overlap ?into ?ws g ~origin after =
   done;
   (* A survivor loses one slot per deleted partner: read off the
      deleted hyperedges' slices, not every slice. *)
-  let deg = scratch (fun w -> w.deg_w) (fun w a -> w.deg_w <- a) m 0 in
+  let deg = scratch ws.deg_w (fun a -> ws.deg_w <- a) m 0 in
   for j = 0 to nsurv - 1 do
     let o = origin.(j) in
     deg.(j) <- g.adj_off.(o + 1) - g.adj_off.(o)
@@ -222,7 +225,7 @@ let advance_overlap ?into ?ws g ~origin after =
         if p >= 0 then deg.(p) <- deg.(p) - 1
       done
   done;
-  let cnt = scratch (fun w -> w.cnt_w) (fun w a -> w.cnt_w <- a) m 0 in
+  let cnt = scratch ws.cnt_w (fun a -> ws.cnt_w <- a) m 0 in
   let touched = U.Dynarray.create ~dummy:0 () in
   let added =
     Array.init (m - nsurv) (fun a ->
@@ -264,7 +267,7 @@ let advance_overlap ?into ?ws g ~origin after =
   let adj = slots (fun c -> c.adj) in
   let ocount = slots (fun c -> c.ocount) in
   let twin = slots (fun c -> c.twin) in
-  let pos = scratch (fun w -> w.pos_w) (fun w a -> w.pos_w <- a) m 0 in
+  let pos = scratch ws.pos_w (fun a -> ws.pos_w <- a) m 0 in
   Array.blit adj_off 0 pos 0 m;
   for j = 0 to nsurv - 1 do
     let o = origin.(j) in
@@ -334,34 +337,28 @@ let dec_overlap c f g =
 
 let imax (a : int) b = if a >= b then a else b
 
-let state_of ?ws h overlap =
+let state_of ~ws h overlap =
   let nv = H.n_vertices h and m = H.n_edges h in
-  let valive, ealive, vdeg, edeg =
-    match ws with
-    | None ->
-      (Array.make nv true, Array.make m true, H.vertex_degrees h, H.edge_sizes h)
-    | Some w ->
-      w.valive_w <- fit w.valive_w nv false;
-      w.ealive_w <- fit w.ealive_w m false;
-      w.vdeg_w <- fit w.vdeg_w nv 0;
-      w.edeg_w <- fit w.edeg_w m 0;
-      Array.fill w.valive_w 0 nv true;
-      Array.fill w.ealive_w 0 m true;
-      for v = 0 to nv - 1 do
-        w.vdeg_w.(v) <- H.vertex_degree h v
-      done;
-      for e = 0 to m - 1 do
-        w.edeg_w.(e) <- H.edge_size h e
-      done;
-      (w.valive_w, w.ealive_w, w.vdeg_w, w.edeg_w)
-  in
+  ws.valive_w <- fit ws.valive_w nv false;
+  ws.ealive_w <- fit ws.ealive_w m false;
+  ws.vdeg_w <- fit ws.vdeg_w nv 0;
+  ws.edeg_w <- fit ws.edeg_w m 0;
+  Array.fill ws.valive_w 0 nv true;
+  Array.fill ws.ealive_w 0 m true;
+  for v = 0 to nv - 1 do
+    ws.vdeg_w.(v) <- H.vertex_degree h v
+  done;
+  for e = 0 to m - 1 do
+    ws.edeg_w.(e) <- H.edge_size h e
+  done;
   {
     h;
-    valive;
-    ealive;
-    vdeg;
-    edeg;
+    valive = ws.valive_w;
+    ealive = ws.ealive_w;
+    vdeg = ws.vdeg_w;
+    edeg = ws.edeg_w;
     overlap;
+    ws;
     abuf = Array.make (imax 1 (H.max_vertex_degree h)) 0;
     on_vertex_degree = ignore;
     on_edge_delete = ignore;
@@ -371,7 +368,7 @@ let state_of ?ws h overlap =
   }
 
 let init ~strategy ~domains h =
-  state_of h
+  state_of ~ws:(workspace ()) h
     (match strategy with
     | Naive -> None
     | Overlap -> Some (build_csr ~domains h))
@@ -459,17 +456,12 @@ and check_maximality st f =
    Runs before any hook is installed, so it fires none; and it is
    reduction, not peel work, so it counts no maximality checks.  Empty
    hyperedges follow {!Hypergraph_reduce.empty_survivor}. *)
-let drop_non_maximal ?ws st =
+let drop_non_maximal st =
   let m = H.n_edges st.h in
   let keep_empty = Hypergraph_reduce.empty_survivor st.h in
   let checks = st.checks in
-  let doomed =
-    match ws with
-    | None -> Array.make m false
-    | Some w ->
-      w.doomed_w <- fit w.doomed_w m false;
-      w.doomed_w
-  in
+  st.ws.doomed_w <- fit st.ws.doomed_w m false;
+  let doomed = st.ws.doomed_w in
   for f = 0 to m - 1 do
     doomed.(f) <- (if st.edeg.(f) = 0 then f <> keep_empty else contained st f)
   done;
@@ -519,9 +511,12 @@ let delete_vertex st v =
     check_maximality st affected.(i)
   done
 
-let alive_ids flags =
+(* The ids below [n] whose flag is up. *)
+let alive_ids flags n =
   let buf = U.Dynarray.create ~dummy:0 () in
-  Array.iteri (fun i alive -> if alive then U.Dynarray.push buf i) flags;
+  for i = 0 to n - 1 do
+    if flags.(i) then U.Dynarray.push buf i
+  done;
   U.Dynarray.to_array buf
 
 
@@ -574,7 +569,9 @@ let k_core ?(strategy = Overlap) ?(domains = 1) ?(deadline = U.Deadline.never) h
       done
     done;
     let core, vertex_ids, edge_ids =
-      H.sub h ~vertices:(alive_ids st.valive) ~edges:(alive_ids st.ealive)
+      H.sub h
+        ~vertices:(alive_ids st.valive (H.n_vertices h))
+        ~edges:(alive_ids st.ealive (H.n_edges h))
     in
     {
       core;
@@ -639,19 +636,14 @@ let decompose_iterated ?(strategy = Overlap) ?(domains = 1)
    pops, levels and edge-deletion levels restricted to those
    components.  That is the property the subcore cascade
    ({!Hypergraph_maintain}) resumes from. *)
-let canonical_drain ?ws ~deadline st ~level0 ~vertex_core ~record_edge =
+let canonical_drain ~deadline st ~level0 ~vertex_core ~record_edge =
   let nv = H.n_vertices st.h in
   let stride = imax nv 1 in
   (* A live vertex's key is written before it is read, so a kept key
      array needs no clearing. *)
-  let key, heap =
-    match ws with
-    | None -> (Array.make stride 0, U.Int_heap.create ~capacity:(nv + 16) ())
-    | Some w ->
-      w.key_w <- fit w.key_w stride 0;
-      U.Int_heap.clear w.heap_w;
-      (w.key_w, w.heap_w)
-  in
+  st.ws.key_w <- fit st.ws.key_w stride 0;
+  let key = st.ws.key_w and heap = st.ws.heap_w in
+  U.Int_heap.clear heap;
   let level = ref level0 in
   for v = 0 to nv - 1 do
     if st.valive.(v) then begin
@@ -688,13 +680,13 @@ let canonical_drain ?ws ~deadline st ~level0 ~vertex_core ~record_edge =
 (* The one-pass sweep of a fresh peeling state, also returning the
    state so callers ([max_core]) can surface its counters without a
    second peel. *)
-let onepass ?ws ~deadline st =
+let onepass ~deadline st =
   let nv = H.n_vertices st.h and m = H.n_edges st.h in
-  (* The returned arrays are always fresh, workspace or not: callers
-     publish them. *)
+  (* The returned arrays are always fresh, never the workspace's:
+     callers publish them. *)
   let vertex_core = Array.make nv 0 in
   let edge_core = Array.make m (-1) in
-  drop_non_maximal ?ws st;
+  drop_non_maximal st;
   (* Hyperedges surviving reduction are at least in the 0-core; the
      dropped ones keep -1. *)
   for e = 0 to m - 1 do
@@ -707,7 +699,7 @@ let onepass ?ws ~deadline st =
     if st.ealive.(e) && st.edeg.(e) = 0 then delete_edge st e
   done;
   let max_core =
-    canonical_drain ?ws ~deadline st ~level0:0 ~vertex_core
+    canonical_drain ~deadline st ~level0:0 ~vertex_core
       ~record_edge:(fun f lvl -> edge_core.(f) <- lvl)
   in
   ({ vertex_core; edge_core; max_core }, st)
@@ -715,22 +707,17 @@ let onepass ?ws ~deadline st =
 let decompose_onepass_state ~strategy ~domains ~deadline h =
   onepass ~deadline (init ~strategy ~domains h)
 
-let decompose_over ?(deadline = U.Deadline.never) ?ws g h =
+let decompose_over ?(deadline = U.Deadline.never) ~ws g h =
   let m = H.n_edges h in
   if Array.length g.adj_off <> m + 1 then
     invalid_arg "Hypergraph_core.decompose_over: graph of another hypergraph";
-  (* The drain lowers pair counts as it peels: it gets its own copy,
-     and shares the slices, offsets and twins, which it only reads. *)
-  let ocount =
-    match ws with
-    | None -> Array.copy g.ocount
-    | Some w ->
-      let total = g.adj_off.(m) in
-      w.ocount_w <- fit w.ocount_w total 0;
-      Array.blit g.ocount 0 w.ocount_w 0 total;
-      w.ocount_w
-  in
-  fst (onepass ?ws ~deadline (state_of ?ws h (Some { g with ocount })))
+  (* The drain lowers pair counts as it peels: it gets its own copy, in
+     the workspace, and shares the slices, offsets and twins, which it
+     only reads. *)
+  let total = g.adj_off.(m) in
+  ws.ocount_w <- fit ws.ocount_w total 0;
+  Array.blit g.ocount 0 ws.ocount_w 0 total;
+  fst (onepass ~deadline (state_of ~ws h (Some { g with ocount = ws.ocount_w })))
 
 let resume_peel ?(strategy = Overlap) ?(domains = 1)
     ?(deadline = U.Deadline.never) ~level h =
@@ -917,8 +904,8 @@ let peel_rounds ?(strategy = Overlap) ?(domains = 1)
           if st.valive.(v) then delete_vertex st v)
         vs
   done;
-  let core_vertices = Array.fold_left (fun a b -> if b then a + 1 else a) 0 st.valive in
-  let core_edges = Array.fold_left (fun a b -> if b then a + 1 else a) 0 st.ealive in
+  let core_vertices = Array.length (alive_ids st.valive nv) in
+  let core_edges = Array.length (alive_ids st.ealive (H.n_edges h)) in
   {
     rounds = U.Dynarray.length batches;
     batch_sizes = U.Dynarray.to_array batches;

@@ -133,12 +133,12 @@ val decompose_onepass :
 
     A caller that re-peels again and again passes the buffers it keeps
     across peels: a spare graph for the advance to write into, and a
-    {!workspace} for the drain's scratch.  They are private to that
-    caller, which must not share them between two peels running at
-    once (the maintainer is used under its writer's lock).  A peel
-    never writes an array it has returned: every {!decomposition} it
-    returns is freshly allocated, so a reader may keep a published
-    decomposition while later peels run. *)
+    {!workspace} for the advance's and the drain's scratch.  They are
+    private to that caller, which must not share them between two peels
+    running at once (the maintainer is used under its writer's lock).
+    A peel never writes an array it has returned: every
+    {!decomposition} it returns is freshly allocated, so a reader may
+    keep a published decomposition while later peels run. *)
 
 type overlap
 (** The static overlap graph of a hypergraph: per-hyperedge partner
@@ -154,14 +154,15 @@ type workspace
 (** The per-vertex and per-hyperedge scratch of {!advance_overlap} and
     {!decompose_over}: the id map and cursors of the advance, and the
     drain's working pair counts, alive flags, degrees, keys and heap,
-    and reduction verdicts.  Grown to fit, never returned. *)
+    and reduction verdicts.  Grown to fit, never returned.  Every
+    other peel works in a fresh one. *)
 
 val workspace : unit -> workspace
 (** An empty workspace; the first peel sizes it. *)
 
 val advance_overlap :
   ?into:overlap ->
-  ?ws:workspace ->
+  ws:workspace ->
   overlap ->
   origin:int array ->
   Hypergraph.t ->
@@ -184,23 +185,24 @@ val advance_overlap :
     result's are allocated with slack where they are not.  So a caller
     that swaps the result and its previous graph at every advance
     allocates slot arrays only as the graph grows.  [ws] holds the
-    advance's per-hyperedge scratch. *)
+    advance's per-hyperedge scratch, so the advance allocates only the
+    result's slice offsets and its added hyperedges' partner lists. *)
 
 val equal_overlap : overlap -> overlap -> bool
 (** Same slices, counts and twin slots. *)
 
 val decompose_over :
   ?deadline:Hp_util.Deadline.t ->
-  ?ws:workspace ->
+  ws:workspace ->
   overlap ->
   Hypergraph.t ->
   decomposition
-(** [decompose_over g h] is [decompose ~domains:1 h] for [g] the
-    overlap graph of [h], without recounting the pairs: the drain gets
-    a copy of [g]'s counts and leaves [g] as it is.  With [ws] the
-    copy and the peel's scratch live in the workspace, so the call
-    allocates little beyond the two arrays it returns.  Raises
-    [Invalid_argument] when [g] has a different hyperedge count. *)
+(** [decompose_over ~ws g h] is [decompose ~domains:1 h] for [g] the
+    overlap graph of [h], without recounting the pairs: the drain
+    lowers a copy of [g]'s counts and leaves [g] as it is.  The copy
+    and the peel's scratch live in [ws], so the call allocates little
+    beyond the two arrays it returns.  Raises [Invalid_argument] when
+    [g] has a different hyperedge count. *)
 
 val resume_peel :
   ?strategy:strategy ->

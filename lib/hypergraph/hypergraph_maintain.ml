@@ -169,7 +169,8 @@ let hypergraph t = t.h
 let stats t = t.stats
 
 let overlap t =
-  HC.advance_overlap t.graph ~origin:(Origin.to_array t.graph_ids) t.h
+  HC.advance_overlap ~ws:(HC.workspace ()) t.graph
+    ~origin:(Origin.to_array t.graph_ids) t.h
 
 (* The full re-peel, from the kept overlap graph advanced to [after]
    ([graph] instead, when the burst's ids are unknown).  The advance

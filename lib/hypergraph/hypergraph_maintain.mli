@@ -28,9 +28,10 @@
     only replays its ops over the graph's id map ({!Origin}).  The
     maintainer also keeps the buffers a re-peel works in: a spare
     overlap graph, which the advance writes into before the two swap,
-    and a {!Hypergraph_core.workspace} for the drain.  They are private
-    to the maintainer, and a maintainer must be used by one caller at a
-    time (the registry holds its writer lock across every repair).
+    and a {!Hypergraph_core.workspace} for the advance's and the
+    drain's scratch.  They are private to the maintainer, and a
+    maintainer must be used by one caller at a time (the registry holds
+    its writer lock across every repair).
 
     A burst made only of vertex appends is an O(1) repair plus the
     array copy, counted as a cascade whose region is the appended

@@ -51,11 +51,12 @@
 
     Every operation is safe to call from concurrent worker domains.
     Readers take no lock: {!find} and {!list} read the resident table
-    with one [Atomic.get], so an analysis, [INFO], [LIST], [METRICS] or
-    an epoch gauge never waits for a write in progress.  Writers —
-    {!mutate_batch} (and {!mutate}), {!checkpoint}, {!evict}, the
-    publish step of {!load}, and {!sync_wals} — share one internal
-    mutex, and each replaces the table whole, copy-on-write, under it.
+    with one [Atomic.get], so an analysis, [INFO], [DATASETS],
+    [METRICS] or an epoch gauge never waits for a write in progress.
+    Writers — {!mutate_batch} (and {!mutate}), {!checkpoint},
+    {!evict}, the publish step of {!load}, and {!sync_wals} — share one
+    internal mutex, and each replaces the table whole, copy-on-write,
+    under it.
 
     An {!entry} is its dataset at one epoch, an atomic snapshot: its
     [state] never changes, and a burst publishes a new entry, once,
